@@ -10,13 +10,11 @@ principal-value oracle (modelsum), and the sweep harness (lab).
 from .errors import (CountingConditionError, DegeneracyError,
                      GridMismatchError, LabError, ResolutionError)
 from .osgood import (InghamTable, OsgoodParams, TabulatedOsgood, build_ingham,
-                     eval_U, eval_u, osgood_partial_integral, verify_decay,
-                     verify_sandwich)
+                     osgood_partial_integral, verify_decay, verify_sandwich)
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
                        Report, inner_product, lp_norm, local_norm,
-                       maximal_function, maximal_function_brute,
-                       read_gridfunction_csv, superlevel_decompose,
-                       write_gridfunction_csv)
+                       maximal_function, read_gridfunction_csv,
+                       superlevel_decompose, write_gridfunction_csv)
 from .packets import (PacketBank, Tile, TopDatum, WavePacket, canonical_packet,
                       split_meanzero, split_truncate, tile_packet, xi_H,
                       xi_lattice)
@@ -27,8 +25,8 @@ from .timefreq import (Forest, Tree, Tritile, build_tritile_lattice,
                        exceptional_sets, f3_decompose, forest_to_jsonl,
                        gamma_from_beta, j_tree_core, single_tree_bound,
                        size_lemma_split, thin_well_discretized, tree_size)
-from .modelsum import (ModelSumConfig, bht_direct, dilate_band_limited,
-                       lambda_direct, model_sum, rescale_check)
+from .modelsum import (bht_direct, dilate_band_limited, lambda_direct,
+                       model_sum, rescale_check)
 from .lab import (SweepConfig, SweepRow, emit_report, fit_growth, run_sweep,
                   run_tree_suite, star)
 

@@ -130,8 +130,7 @@ def _cmd_sweep(args) -> int:
         set_family=args.set_family,
         ratios=tuple(args.ratios) if args.ratios
         else tuple(2.0 ** -j for j in range(1, args.dyadic + 1)),
-        grid_n=args.grid_n, eps=args.eps, seed=args.seed,
-        out_csv=args.out_csv, out_svg=args.out_svg)
+        grid_n=args.grid_n, eps=args.eps, seed=args.seed)
     rows = lab.run_sweep(cfg)
     fits = {}
     try:

@@ -67,8 +67,6 @@ class SweepConfig:
     # majority check is admissible; a large one shrinks the excluded buffer
     # and probes the sharpness of the growth law
     exc_c0: float = 64.0
-    out_csv: str | None = None
-    out_svg: str | None = None
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
@@ -187,12 +185,6 @@ class _LatticeEngine:
                        range(cfg.scale_log2_max, cfg.scale_log2_min - 1, -1)
                        if 2.0 ** j >= 4 * grid.spacing]
 
-    def _band_energy(self, fhat: np.ndarray, xi: float, width: float) -> float:
-        freqs = self.grid.freqs()
-        mask = np.abs(freqs - xi) <= width / 2
-        tot = float((np.abs(fhat) ** 2).sum())
-        return float((np.abs(fhat[mask]) ** 2).sum()) / tot if tot > 0 else 0.0
-
     def evaluate(self, f1: GridFunction, f2: GridFunction,
                  f3_major: IntervalSet) -> tuple[float, GridFunction]:
         """(best |model sum|, aligned f3) over subindicators of the major set."""
@@ -200,6 +192,10 @@ class _LatticeEngine:
         h = grid.spacing
         fh1 = np.fft.fft(f1.values)
         fh2 = np.fft.fft(f2.values)
+        # columns where f1 has no spectral energy in the slot-1 band are pruned
+        freqs = grid.freqs()
+        power = np.abs(fh1) ** 2
+        total = float(power.sum())
         w_total = np.zeros(grid.n, dtype=complex)
         for s in self.scales:
             step = int(round(s / h))
@@ -208,7 +204,8 @@ class _LatticeEngine:
             idx = np.arange(lo, hi + 1, step) % grid.n
             for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
                 xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
-                if self._band_energy(fh1, xi[0], 2 * cfg.eps / s) < 1e-12:
+                band = np.abs(freqs - xi[0]) <= cfg.eps / s
+                if total <= 0 or float(power[band].sum()) / total < 1e-12:
                     continue
                 g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, self.table)
                 g2 = coefficient_profile(fh2, grid, s, xi[1], cfg.eps, self.table)

@@ -21,7 +21,7 @@ from .errors import CountingConditionError, ResolutionError
 from .osgood import InghamTable, OsgoodParams
 from .packets import PacketBank, TopDatum, dedup_freqs, xi_H
 from .sampling import (Band, DyadicInterval, GridFunction, IntervalSet, Report,
-                       local_norm, lp_norm, maximal_function,
+                       cover_count, local_norm, lp_norm, maximal_function,
                        superlevel_decompose)
 
 log = logging.getLogger(__name__)
@@ -103,11 +103,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     bigk = big_c * k
     uk = params.u(bigk)
 
-    xs = grid.xs()
-    overlap = np.zeros(grid.n)
-    for td in tops:
-        b = td.interval.dilate(3.0 * uk)
-        overlap[(xs >= b.lo) & (xs < b.hi)] += 1.0
+    overlap = cover_count(grid, (td.interval.dilate(3.0 * uk) for td in tops))
     if overlap.max() > 2.0**k:
         raise CountingConditionError(
             f"dilated top intervals overlap {int(overlap.max())} > 2^{k}")
@@ -187,13 +183,8 @@ def _diagnostics(f, good_vals, qs, xi_q, tops, lam, k, p, uk, be_ratios) -> dict
 
 def overlap_count(split: MfczSplit) -> int:
     """Maximum pointwise overlap of the tripled selected intervals."""
-    grid = split.good.grid
-    xs = grid.xs()
-    total = np.zeros(grid.n)
-    for q in split.q_intervals:
-        b = q.dilate(3.0)
-        total[(xs >= b.lo) & (xs < b.hi)] += 1
-    return int(total.max()) if split.q_intervals else 0
+    bands = (q.dilate(3.0) for q in split.q_intervals)
+    return int(cover_count(split.good.grid, bands).max())
 
 
 # ---------------------------------------------------------------------------

@@ -10,31 +10,13 @@ constants, so sweeps compare their growth trends, never their values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packets import PacketBank
+from .errors import ResolutionError
+from .packets import PacketBank, packet_hat
 from .sampling import Band, DyadicInterval, Grid, GridFunction, dyadic_log2
-from .timefreq import Tritile, check_well_discretized, gamma_from_beta
-
-
-@dataclass(frozen=True)
-class ModelSumConfig:
-    """Direction data for the trilinear form: unit beta orthogonal to (1,1,1)."""
-
-    beta: tuple[float, float, float]
-    eps: float = 2.0 ** -16
-    r_const: float = 16.0
-    gamma: tuple[float, float, float] = field(init=False)
-    delta_beta: float = field(init=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        g = gamma_from_beta(b)  # validates unit length, orthogonality, degeneracy
-        object.__setattr__(self, "gamma", tuple(g))
-        pairs = [abs(b[i] - b[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        object.__setattr__(self, "delta_beta", min(pairs) / math.sqrt(2.0))
+from .timefreq import Tritile, check_well_discretized
 
 
 def model_sum(S, f1: GridFunction, f2: GridFunction, f3: GridFunction,
@@ -185,15 +167,10 @@ def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
     (off-Nyquist or spanning fewer than 4 bins).  Canonical packets are exact
     translates of each other, so the coefficient map is a correlation.
     """
-    zeta = grid.freqs()
-    if abs(xi) + eps / (2 * scale) >= grid.nyquist:
+    try:
+        hat = packet_hat(grid, scale, xi, eps, table)
+    except ResolutionError:
         return None
-    lam_s = scale / eps
-    hat = lam_s * table.spectrum_at(lam_s * (zeta - xi))
-    norm2 = (hat**2).sum() / grid.length
-    if norm2 <= 0 or (eps / scale) * grid.length < 4:
-        return None
-    hat /= math.sqrt(norm2)
     # <f, p_c> = (1/L) sum_m F_m conj(H_m) e^{2 pi i zeta_m (c - x0)}
     return np.fft.ifft(f_hat * grid.spacing * np.conj(hat)) * (grid.n / grid.length)
 
@@ -201,13 +178,8 @@ def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
 def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi: float,
                       eps: float, table) -> np.ndarray | None:
     """sum_idx weights[idx] * packet_idx(x) on the grid, via one FFT."""
-    zeta = grid.freqs()
-    if abs(xi) + eps / (2 * scale) >= grid.nyquist:
+    try:
+        hat = packet_hat(grid, scale, xi, eps, table)
+    except ResolutionError:
         return None
-    lam_s = scale / eps
-    hat = lam_s * table.spectrum_at(lam_s * (zeta - xi))
-    norm2 = (hat**2).sum() / grid.length
-    if norm2 <= 0 or (eps / scale) * grid.length < 4:
-        return None
-    hat /= math.sqrt(norm2)
     return np.fft.ifft(np.fft.fft(weights) * hat) * (grid.n / grid.length)

@@ -99,14 +99,6 @@ class OsgoodParams:
         return self.tau_cache[tau]
 
 
-def eval_u(params: OsgoodParams, t):
-    return params.u(t)
-
-
-def eval_U(params: OsgoodParams, x):
-    return params.big_u(x)
-
-
 def osgood_partial_integral(params: OsgoodParams, tol: float = 1e-3) -> Report:
     """Quadrature check of the normalization int_0^inf dt/u(t) = 1.
 

@@ -6,6 +6,8 @@ modulated to xi (phase referenced at the center, so translates of the datum
 give exact translates of the samples).  Packets are synthesized in the
 frequency domain, so their discrete spectra vanish identically off the band of
 length eps/|I| centered at xi, and are unit-normalized in the grid L2 norm.
+`packet_hat` is the one definition of that spectrum; the sweep engine's
+translation-batched profiles (`tflab.modelsum`) build on it too.
 """
 
 from __future__ import annotations
@@ -77,20 +79,36 @@ def _band_check(grid: Grid, xi: float, bandwidth: float, min_bins: int = 4) -> N
             f"on a grid of length {grid.length}")
 
 
+def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
+               table: InghamTable) -> np.ndarray:
+    """Unit-normalized spectrum of the packet at spatial scale `scale` and xi.
+
+    The one definition of the packet spectrum: full length, fftfreq order, the
+    window spectrum dilated to scale/eps and centered at xi, normalized in the
+    grid L2 norm.  The window spectrum vanishes off (-1, 1), so `spectrum_at`
+    runs on the band's bins only and every other bin is exactly zero.  Raises
+    ResolutionError when the band crosses Nyquist, spans fewer than 4 bins, or
+    misses every bin.
+    """
+    _band_check(grid, xi, eps / scale)
+    lam_s = scale / eps
+    arg = lam_s * (grid.freqs() - xi)
+    band = np.abs(arg) < 1
+    hat = np.zeros(grid.n)
+    hat[band] = lam_s * table.spectrum_at(arg[band])
+    norm = math.sqrt((hat**2).sum() / grid.length)
+    if norm == 0:
+        raise ResolutionError("packet band misses every frequency bin")
+    return hat / norm
+
+
 def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
                      grid: Grid) -> WavePacket:
     """Unit-normalized packet with spectrum in the band of length eps/|I| at xi."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    length = td.interval.length
-    _band_check(grid, td.xi, eps / length)
-    lam_s = length / eps
-    zeta = grid.freqs()
-    hat = lam_s * table.spectrum_at(lam_s * (zeta - td.xi))
-    norm = math.sqrt((hat**2).sum() / grid.length)
-    if norm == 0:
-        raise ResolutionError("packet band misses every frequency bin")
-    hat = (hat / norm) * np.exp(-2j * np.pi * zeta * (td.interval.center - grid.x0))
+    hat = packet_hat(grid, td.interval.length, td.xi, eps, table)
+    hat = hat * np.exp(-2j * np.pi * grid.freqs() * (td.interval.center - grid.x0))
     vals = np.fft.ifft(hat) * (grid.n / grid.length)
     return WavePacket(td, eps, GridFunction(grid, vals), td.xi)
 

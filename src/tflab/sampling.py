@@ -272,8 +272,8 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
 
     The family consists of all windows of dyadic sample count (1, 2, 4, ...)
     with grid-aligned endpoints, lying inside the domain.  This approximates
-    the full supremum over intervals within a factor 4; the brute-force
-    reference is `maximal_function_brute`.
+    the full supremum over intervals within a factor 4 (the test suite keeps
+    the brute-force supremum over all windows as the reference).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -287,21 +287,6 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
         padded = np.concatenate([avg, np.full(m - 1, -np.inf)]) if m > 1 else avg
         np.maximum(best, _sliding_max(padded, m), out=best)
         m *= 2
-    return GridFunction(f.grid, best ** (1.0 / p) + 0j)
-
-
-def maximal_function_brute(f: GridFunction, p: float) -> GridFunction:
-    """Supremum over ALL grid-aligned windows (test oracle; O(n^2) memory/time)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    a = np.abs(f.values) ** p
-    n = f.grid.n
-    c = np.concatenate([[0.0], np.cumsum(a)])
-    best = np.full(n, -np.inf)
-    for m in range(1, n + 1):
-        avg = (c[m:] - c[:-m]) / m
-        padded = np.concatenate([avg, np.full(m - 1, -np.inf)]) if m > 1 else avg
-        np.maximum(best, _sliding_max(padded, m), out=best)
     return GridFunction(f.grid, best ** (1.0 / p) + 0j)
 
 
@@ -357,6 +342,20 @@ def maximal_dyadic_intervals(mask: np.ndarray, grid: Grid) -> list[DyadicInterva
     """Maximal dyadic grid intervals entirely inside the (sampled) set `mask`."""
     inside = _qualifier(np.asarray(mask, dtype=bool), grid)
     return _maximal_dyadic(grid, lambda q: inside(q.lo, q.hi))
+
+
+def cover_count(grid: Grid, bands) -> np.ndarray:
+    """Pointwise number of bands [lo, hi) that hold each sample point.
+
+    A difference array over sample indices: each band adds one from its first
+    sample >= lo up to, not including, its first sample >= hi.
+    """
+    xs = grid.xs()
+    bands = list(bands)
+    diff = np.zeros(grid.n + 1)
+    np.add.at(diff, np.searchsorted(xs, [b.lo for b in bands]), 1.0)
+    np.add.at(diff, np.searchsorted(xs, [b.hi for b in bands]), -1.0)
+    return np.cumsum(diff[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from .errors import DegeneracyError
 from .osgood import OsgoodParams
 from .packets import PacketBank, R_CONST, TopDatum
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
-                       lp_norm, maximal_dyadic_intervals, maximal_function)
+                       _qualifier, cover_count, lp_norm,
+                       maximal_dyadic_intervals, maximal_function)
 
 log = logging.getLogger(__name__)
 
@@ -83,12 +84,7 @@ class Forest:
 
     def counting(self, grid: Grid, dilate: float = 1.0) -> np.ndarray:
         """Pointwise number of tree tops whose dilated interval covers x."""
-        xs = grid.xs()
-        n = np.zeros(grid.n)
-        for t in self.trees:
-            b = t.space.dilate(dilate)
-            n[(xs >= b.lo) & (xs < b.hi)] += 1.0
-        return n
+        return cover_count(grid, (t.space.dilate(dilate) for t in self.trees))
 
 
 def validate_tree(tree: Tree, r_const: float = R_CONST) -> list[str]:
@@ -487,15 +483,11 @@ def counting_split(forest: Forest, k: int, params: OsgoodParams, grid: Grid,
             break
         # containment in the level set (union of its maximal dyadic
         # intervals) checked sample-wise; outside the domain counts as out
-        c = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
+        in_level = _qualifier(mask, grid)
         inside, outside = [], []
         for t in stock:
             b = t.space.dilate(dilate)
-            sl = grid.slice_of(b.lo, b.hi)
-            cnt = sl.stop - sl.start
-            covered = (b.lo >= grid.x0 - 1e-12 and b.hi <= grid.x1 + 1e-12
-                       and cnt > 0 and c[sl.stop] - c[sl.start] == cnt)
-            (inside if covered else outside).append(t)
+            (inside if in_level(b.lo, b.hi) else outside).append(t)
         (good if first else small).extend(outside)
         if not inside:
             break

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from tflab.errors import DegeneracyError
-from tflab.modelsum import (ModelSumConfig, bht_direct, coefficient_profile,
+from tflab.modelsum import (bht_direct, coefficient_profile,
                             dilate_band_limited, lambda_direct, model_sum,
                             rescale_check, rescale_tritile, synthesis_profile)
 from tflab.packets import PacketBank, TopDatum, canonical_packet
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction
-from tflab.timefreq import Tritile
+from tflab.timefreq import Tritile, gamma_from_beta
 
 BETA = (0.0, -2.0 ** -0.5, 2.0 ** -0.5)
 
@@ -36,13 +36,14 @@ def packet_inputs(tritile, table, grid):
 
 
 def test_config_validation():
-    cfg = ModelSumConfig(BETA)
-    assert abs(np.dot(cfg.gamma, np.ones(3))) < 1e-9
-    assert cfg.delta_beta == pytest.approx(0.5)
+    gamma = gamma_from_beta(BETA)
+    assert abs(np.dot(gamma, np.ones(3))) < 1e-9
+    assert abs(np.dot(gamma, BETA)) < 1e-9
+    assert np.linalg.norm(gamma) == pytest.approx(1.0)
     with pytest.raises(DegeneracyError):
-        ModelSumConfig((1.0 / math.sqrt(6),) * 2 + (-2.0 / math.sqrt(6),))
+        gamma_from_beta((1.0 / math.sqrt(6),) * 2 + (-2.0 / math.sqrt(6),))
     with pytest.raises(ValueError):
-        ModelSumConfig((1.0, 0.0, 0.0))
+        gamma_from_beta((1.0, 0.0, 0.0))
 
 
 def test_model_sum_empty(bank, grid):

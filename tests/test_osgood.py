@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tflab.errors import ResolutionError
-from tflab.osgood import (OsgoodParams, TabulatedOsgood, build_ingham, eval_U,
-                          eval_u, osgood_partial_integral, verify_decay,
+from tflab.osgood import (OsgoodParams, TabulatedOsgood, build_ingham,
+                          osgood_partial_integral, verify_decay,
                           verify_sandwich)
 from tflab.sampling import GridFunction
 
@@ -15,14 +15,14 @@ U1_AT_1 = 6.412758031536247
 
 
 def test_eval_u_values(params):
-    assert eval_u(params, 0.0) == pytest.approx(E, abs=1e-12)
-    assert eval_u(params, 1.0) == pytest.approx(U1_AT_1, abs=1e-12)
-    assert eval_u(OsgoodParams(2.0), 0.0) == pytest.approx(E / 2, abs=1e-12)
+    assert params.u(0.0) == pytest.approx(E, abs=1e-12)
+    assert params.u(1.0) == pytest.approx(U1_AT_1, abs=1e-12)
+    assert OsgoodParams(2.0).u(0.0) == pytest.approx(E / 2, abs=1e-12)
 
 
 def test_eval_u_domain_error(params):
     with pytest.raises(ValueError):
-        eval_u(params, -0.5)
+        params.u(-0.5)
 
 
 def test_bad_lambda():
@@ -33,27 +33,27 @@ def test_bad_lambda():
 
 
 def test_eval_U_values(params):
-    assert eval_U(params, E) == pytest.approx(0.0, abs=1e-9)
-    assert eval_U(params, eval_u(params, 1.0)) == pytest.approx(1.0, abs=1e-10)
+    assert params.big_u(E) == pytest.approx(0.0, abs=1e-9)
+    assert params.big_u(params.u(1.0)) == pytest.approx(1.0, abs=1e-10)
     # bisection oracle value, frozen; round-trip check to 1e-10
-    v = eval_U(params, 10.0)
+    v = params.big_u(10.0)
     assert v == pytest.approx(1.7474180761436612, abs=1e-9)
-    assert eval_u(params, v) == pytest.approx(10.0, rel=1e-10)
-    assert eval_U(params, 1.0) == 0.0  # inside the zero plateau
-    assert eval_U(params, -10.0) == eval_U(params, 10.0)  # even extension
+    assert params.u(v) == pytest.approx(10.0, rel=1e-10)
+    assert params.big_u(1.0) == 0.0  # inside the zero plateau
+    assert params.big_u(-10.0) == params.big_u(10.0)  # even extension
 
 
 def test_round_trip_log_grid(params):
     xs = np.geomspace(params.u0 * 1.001, 1e8, 64)
-    u_of_U = eval_u(params, eval_U(params, xs))
+    u_of_U = params.u(params.big_u(xs))
     assert np.max(np.abs(u_of_U - xs) / xs) < 1e-9
 
 
 def test_monotonicity(params):
     t = np.linspace(0, 100, 500)
-    assert np.all(np.diff(eval_u(params, t)) > 0)
+    assert np.all(np.diff(params.u(t)) > 0)
     x = np.linspace(0, 1000, 500)
-    assert np.all(np.diff(eval_U(params, x)) >= -1e-12)
+    assert np.all(np.diff(params.big_u(x)) >= -1e-12)
 
 
 def test_subadditivity_surrogate(params):
@@ -61,14 +61,14 @@ def test_subadditivity_surrogate(params):
     rng = np.random.default_rng(0)
     theta = rng.uniform(0, 1, 100)
     x = rng.uniform(0, 1e6, 100)
-    lhs = eval_U(params, theta * x)
-    rhs = theta * eval_U(params, x) - params.u0
+    lhs = params.big_u(theta * x)
+    rhs = theta * params.big_u(x) - params.u0
     assert np.all(lhs >= rhs - 1e-9)
 
 
 def test_big_u_bounded_by_identity(params):
     x = np.geomspace(1e-3, 1e9, 200)
-    assert np.all(eval_U(params, x) <= x + 1e-9)
+    assert np.all(params.big_u(x) <= x + 1e-9)
 
 
 def test_osgood_partial_integral(params):

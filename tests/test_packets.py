@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tflab.errors import ResolutionError
+from tflab.modelsum import coefficient_profile, synthesis_profile
 from tflab.osgood import TabulatedOsgood
 from tflab.packets import (PacketBank, Tile, TopDatum, canonical_packet,
                            dedup_freqs, freq_window_for_scale, split_meanzero,
                            split_truncate, tile_packet, xi_H, xi_lattice)
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
+
+from reference import (canonical_packet_full, coefficient_profile_full,
+                       synthesis_profile_full)
 
 
 @pytest.fixture()
@@ -47,6 +53,65 @@ def test_packet_resolution_errors(table):
         canonical_packet(TopDatum(DyadicInterval(4, 0), 2.0), 0.01, table, small)
     with pytest.raises(ValueError):
         canonical_packet(TopDatum(DyadicInterval(0, 0), 0.0), 1.5, table, small)
+
+
+SPEC_GRID = Grid(-8.0, 8.0, 2 ** 8)
+
+
+@st.composite
+def packet_bands(draw):
+    """(scale log2, eps, xi), with bands that end exactly at Nyquist or span
+    exactly 4 bins among them."""
+    g = SPEC_GRID
+    j = draw(st.integers(-3, 2))
+    scale = 2.0 ** j
+    kind = draw(st.sampled_from(["free", "nyquist", "four_bins"]))
+    if kind == "four_bins":
+        eps = 4 * scale / g.length
+        eps = draw(st.sampled_from([e for e in (eps, np.nextafter(eps, 0),
+                                                np.nextafter(eps, 2)) if e <= 1]))
+    else:
+        eps = draw(st.floats(1.0 / 64, 1.0))
+    if kind == "nyquist":
+        edge = g.nyquist - eps / (2 * scale)
+        xi = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from(
+            [edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf)]))
+    else:
+        xi = draw(st.floats(-g.nyquist - 1, g.nyquist + 1))
+    return j, float(eps), float(xi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ResolutionError:
+        return ResolutionError
+
+
+@settings(max_examples=300, deadline=None)
+@given(band=packet_bands(), pos=st.integers(-4, 3), seed=st.integers(0, 2 ** 16))
+def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
+    j, eps, xi = band
+    g = SPEC_GRID
+    td = TopDatum(DyadicInterval(j, pos), xi)
+    new = _outcome(canonical_packet, td, eps, table, g)
+    old = _outcome(canonical_packet_full, td, eps, table, g)
+    if old is ResolutionError:
+        assert new is ResolutionError
+    else:
+        assert np.array_equal(new.samples.values, old.samples.values)
+
+    rng = np.random.default_rng(seed)
+    f_hat = np.fft.fft(rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    weights = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    scale = 2.0 ** j
+    for fast, full, data in ((coefficient_profile, coefficient_profile_full, f_hat),
+                             (synthesis_profile, synthesis_profile_full, weights)):
+        a = fast(data, g, scale, xi, eps, table)
+        b = full(data, g, scale, xi, eps, table)
+        assert (a is None) == (b is None) == (old is ResolutionError)
+        if b is not None:
+            assert np.array_equal(a, b)
 
 
 def test_packet_adaptedness_envelope(table, params):

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tflab.errors import GridMismatchError
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            IntervalSet, inner_product, lp_norm, local_norm,
-                            maximal_function, maximal_function_brute,
+                            IntervalSet, cover_count, inner_product, lp_norm,
+                            local_norm, maximal_function,
                             read_gridfunction_csv, superlevel_decompose,
                             write_gridfunction_csv)
+
+from reference import cover_count_loop, maximal_function_brute
 
 
 def indicator(grid, lo, hi):
@@ -212,6 +216,24 @@ def test_superlevel_lambda_validation():
     f = GridFunction(g, np.ones(8, complex))
     with pytest.raises(ValueError):
         superlevel_decompose(f, 0.0)
+
+
+COVER_GRID = Grid(-4.0, 4.0, 2 ** 6)
+
+# band endpoints inside and outside the domain: arbitrary reals, sample
+# points, and their floating-point neighbours
+_edges = st.one_of(
+    st.floats(-6.0, 6.0),
+    st.integers(-48, 48).flatmap(lambda k: st.sampled_from(
+        [k / 8, np.nextafter(k / 8, -np.inf), np.nextafter(k / 8, np.inf)])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_edges, _edges).filter(lambda p: p[0] != p[1])
+                .map(lambda p: Band(min(p), max(p))), max_size=12))
+def test_cover_count_matches_mask_loop(bands):
+    got = cover_count(COVER_GRID, bands)
+    assert np.array_equal(got, cover_count_loop(COVER_GRID, bands))
 
 
 # ---------------------------------------------------------------------------
