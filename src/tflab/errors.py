@@ -19,3 +19,7 @@ class CountingConditionError(LabError):
 
 class DegeneracyError(LabError):
     """A direction vector is too close to the degenerate hyperplanes."""
+
+
+class ThresholdDoublingError(LabError):
+    """Doubling the exceptional-set threshold never preserved a major subset."""

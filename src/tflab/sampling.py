@@ -293,55 +293,51 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 # superlevel sets and maximal dyadic intervals
 
-def _qualifier(mask: np.ndarray, grid: Grid):
-    """Returns a predicate: does [lo, hi) lie in the domain with all samples true."""
-    c = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
-
-    def inside(lo: float, hi: float) -> bool:
-        if lo < grid.x0 - 1e-12 or hi > grid.x1 + 1e-12:
-            return False
-        sl = grid.slice_of(lo, hi)
-        cnt = sl.stop - sl.start
-        return cnt > 0 and c[sl.stop] - c[sl.start] == cnt
-
-    return inside
+def bands_inside(mask: np.ndarray, grid: Grid, lo, hi) -> np.ndarray:
+    """Which bands [lo, hi) (float arrays) lie in the domain, with 1e-12 slack,
+    and have every sample in `mask`; sample ranges as in ``Grid.slice_of``."""
+    c = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
+    i0 = np.clip(np.ceil((lo - grid.x0) / grid.spacing - 1e-9), 0, grid.n).astype(int)
+    i1 = np.clip(np.ceil((hi - grid.x0) / grid.spacing - 1e-9), i0, grid.n).astype(int)
+    return ((lo >= grid.x0 - 1e-12) & (hi <= grid.x1 + 1e-12)
+            & (i1 > i0) & (c[i1] - c[i0] == i1 - i0))
 
 
-def _maximal_dyadic(grid: Grid, qualifies) -> list[DyadicInterval]:
-    """Maximal dyadic intervals satisfying a nesting-monotone predicate."""
-    out: list[DyadicInterval] = []
+def _maximal_dyadic(mask, grid: Grid, dilation: float) -> list[DyadicInterval]:
+    """Maximal dyadic Q in the domain with dilation*Q inside `mask`, by one array
+    pass per scale, coarse to fine.  Positions run from floor(x0/length) to
+    ceil(x1/length), so the parent ``pos >> 1`` of each is in the array of the
+    scale above; ``covered`` marks those inside an accepted interval."""
     scales = grid_dyadic_scales(grid)
+    out, covered = [], np.zeros(2, dtype=bool)  # the (empty) scale above them all
+    base = math.floor(grid.x0 / math.ldexp(2.0, scales[-1]))
     for scale in reversed(scales):
-        for pos in dyadic_cover(grid, scale):
-            q = DyadicInterval(scale, pos)
-            if any(acc.contains(q) for acc in out):
-                continue
-            if qualifies(q):
-                out.append(q)
+        length, cover = math.ldexp(1.0, scale), dyadic_cover(grid, scale)
+        pos = np.arange(math.floor(grid.x0 / length), math.ceil(grid.x1 / length))
+        inherited = covered[(pos >> 1) - base]
+        lo, hi = pos * length, (pos + 1) * length
+        center, half = 0.5 * (lo + hi), 0.5 * dilation * (hi - lo)
+        accepted = ((pos >= cover.start) & (pos < cover.stop) & ~inherited
+                    & bands_inside(mask, grid, center - half, center + half))
+        out.extend(DyadicInterval(scale, p) for p in pos[accepted].tolist())
+        covered, base = inherited | accepted, int(pos[0])
     return sorted(out, key=lambda q: q.lo)
 
 
 def superlevel_decompose(g: GridFunction, lam: float) -> list[DyadicInterval]:
     """Maximal dyadic grid intervals Q with 9Q inside the superlevel set {g > lam}.
 
-    Points outside the grid domain count as outside the superlevel set, so 9Q
-    must fit inside the domain.  Output intervals are pairwise disjoint.
+    Points outside the domain count as outside the superlevel set, so 9Q must
+    fit inside it.  The output is disjoint and sorted (one pass per scale).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    inside = _qualifier(g.values.real > lam, g.grid)
-    return _maximal_dyadic(g.grid, lambda q: inside(*_nine(q)))
-
-
-def _nine(q: DyadicInterval) -> tuple[float, float]:
-    b = q.dilate(9.0)
-    return b.lo, b.hi
+    return _maximal_dyadic(g.values.real > lam, g.grid, 9.0)
 
 
 def maximal_dyadic_intervals(mask: np.ndarray, grid: Grid) -> list[DyadicInterval]:
-    """Maximal dyadic grid intervals entirely inside the (sampled) set `mask`."""
-    inside = _qualifier(np.asarray(mask, dtype=bool), grid)
-    return _maximal_dyadic(grid, lambda q: inside(q.lo, q.hi))
+    """Sorted maximal dyadic grid intervals entirely inside the sampled set `mask`."""
+    return _maximal_dyadic(np.asarray(mask, dtype=bool), grid, 1.0)
 
 
 def cover_count(grid: Grid, bands) -> np.ndarray:

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, ThresholdDoublingError
 from .osgood import OsgoodParams
 from .packets import PacketBank, R_CONST, TopDatum
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
-                       _qualifier, cover_count, lp_norm,
+                       bands_inside, cover_count, lp_norm,
                        maximal_dyadic_intervals, maximal_function)
 
 log = logging.getLogger(__name__)
@@ -483,11 +483,10 @@ def counting_split(forest: Forest, k: int, params: OsgoodParams, grid: Grid,
             break
         # containment in the level set (union of its maximal dyadic
         # intervals) checked sample-wise; outside the domain counts as out
-        in_level = _qualifier(mask, grid)
-        inside, outside = [], []
-        for t in stock:
-            b = t.space.dilate(dilate)
-            (inside if in_level(b.lo, b.hi) else outside).append(t)
+        bands = [t.space.dilate(dilate) for t in stock]
+        in_set = bands_inside(mask, grid, *np.array([(b.lo, b.hi) for b in bands]).T)
+        inside = [t for t, f in zip(stock, in_set) if f]
+        outside = [t for t, f in zip(stock, in_set) if not f]
         (good if first else small).extend(outside)
         if not inside:
             break
@@ -552,7 +551,7 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
         if major.measure * 4 >= measure:
             return e_set, closure, major
         c *= 2
-    raise RuntimeError("threshold doubling failed to preserve a major subset")
+    raise ThresholdDoublingError("threshold doubling failed to preserve a major subset")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 
 from tflab.errors import ResolutionError
 from tflab.packets import TopDatum, WavePacket
-from tflab.sampling import Grid, GridFunction, _sliding_max
+from tflab.sampling import (DyadicInterval, Grid, GridFunction, _sliding_max,
+                            dyadic_cover, grid_dyadic_scales)
 
 
 def maximal_function_brute(f: GridFunction, p: float) -> GridFunction:
@@ -36,6 +37,52 @@ def cover_count_loop(grid: Grid, bands) -> np.ndarray:
     for b in bands:
         n[(xs >= b.lo) & (xs < b.hi)] += 1.0
     return n
+
+
+# maximal-dyadic search one interval at a time, each candidate checked against
+# every interval accepted so far
+
+def _qualifier(mask: np.ndarray, grid: Grid):
+    """Returns a predicate: does [lo, hi) lie in the domain with all samples true."""
+    c = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
+
+    def inside(lo: float, hi: float) -> bool:
+        if lo < grid.x0 - 1e-12 or hi > grid.x1 + 1e-12:
+            return False
+        sl = grid.slice_of(lo, hi)
+        cnt = sl.stop - sl.start
+        return cnt > 0 and c[sl.stop] - c[sl.start] == cnt
+
+    return inside
+
+
+def _maximal_dyadic(grid: Grid, qualifies) -> list[DyadicInterval]:
+    """Maximal dyadic intervals satisfying a nesting-monotone predicate."""
+    out: list[DyadicInterval] = []
+    scales = grid_dyadic_scales(grid)
+    for scale in reversed(scales):
+        for pos in dyadic_cover(grid, scale):
+            q = DyadicInterval(scale, pos)
+            if any(acc.contains(q) for acc in out):
+                continue
+            if qualifies(q):
+                out.append(q)
+    return sorted(out, key=lambda q: q.lo)
+
+
+def _nine(q: DyadicInterval) -> tuple[float, float]:
+    b = q.dilate(9.0)
+    return b.lo, b.hi
+
+
+def superlevel_decompose_loop(g: GridFunction, lam: float) -> list[DyadicInterval]:
+    inside = _qualifier(g.values.real > lam, g.grid)
+    return _maximal_dyadic(g.grid, lambda q: inside(*_nine(q)))
+
+
+def maximal_dyadic_intervals_loop(mask: np.ndarray, grid: Grid) -> list[DyadicInterval]:
+    inside = _qualifier(np.asarray(mask, dtype=bool), grid)
+    return _maximal_dyadic(grid, lambda q: inside(q.lo, q.hi))
 
 
 # packet spectra evaluated on every frequency bin, each builder with its own

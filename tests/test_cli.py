@@ -1,7 +1,9 @@
 import numpy as np
 
+from tflab import timefreq
 from tflab.cli import main, parse_config
-from tflab.sampling import Grid, GridFunction, read_gridfunction_csv, write_gridfunction_csv
+from tflab.sampling import (DyadicInterval, Grid, GridFunction,
+                            read_gridfunction_csv, write_gridfunction_csv)
 
 
 def test_parse_config(tmp_path):
@@ -78,3 +80,16 @@ def test_cli_mfcz(tmp_path, grid, params):
 def test_cli_error_exit(tmp_path):
     assert main(["oracle", "--f1", "missing.csv", "--f2", "missing.csv",
                  "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_cli_threshold_doubling_failure(monkeypatch, capsys):
+    # a closure that swallows the whole domain at every threshold: no major
+    # subset survives, so exceptional_sets gives up after its doublings
+    monkeypatch.setattr(timefreq, "maximal_dyadic_intervals",
+                        lambda mask, grid: [DyadicInterval(20, -1)])
+    code = main(["sweep", "--theorem", "T1", "--ratios", "0.5",
+                 "--grid-n", "4096"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: threshold doubling failed" in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -160,13 +161,25 @@ def test_run_sweep_deterministic():
         [(r.delta, r.lambda_model, r.lambda_direct) for r in b]
 
 
-def test_run_sweep_threads_match(monkeypatch):
+def _same(x, y) -> bool:
+    return x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+
+
+def test_run_sweep_threads_match(monkeypatch, tmp_path):
     cfg = small_cfg(ratios=(0.5, 0.25))
+    monkeypatch.delenv("TFLAB_THREADS", raising=False)
     serial = run_sweep(cfg)
     monkeypatch.setenv("TFLAB_THREADS", "2")
     parallel = run_sweep(cfg)
-    assert [(r.delta, r.lambda_model) for r in serial] == \
-        [(r.delta, r.lambda_model) for r in parallel]
+    assert len(serial) == len(parallel) == 2
+    for a, b in zip(serial, parallel):
+        for f in dataclasses.fields(SweepRow):
+            assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+    csvs = []
+    for name, rows in (("serial", serial), ("parallel", parallel)):
+        emit_report(rows, {}, tmp_path / f"{name}.csv", None)
+        csvs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_run_sweep_cantor_family():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from tflab.errors import GridMismatchError
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             IntervalSet, cover_count, inner_product, lp_norm,
-                            local_norm, maximal_function,
-                            read_gridfunction_csv, superlevel_decompose,
-                            write_gridfunction_csv)
+                            local_norm, maximal_dyadic_intervals,
+                            maximal_function, read_gridfunction_csv,
+                            superlevel_decompose, write_gridfunction_csv)
 
-from reference import cover_count_loop, maximal_function_brute
+from reference import (cover_count_loop, maximal_dyadic_intervals_loop,
+                       maximal_function_brute, superlevel_decompose_loop)
 
 
 def indicator(grid, lo, hi):
@@ -218,6 +219,39 @@ def test_superlevel_lambda_validation():
         superlevel_decompose(f, 0.0)
 
 
+# origins on and off the coarsest dyadic scale (32); the last sits 2^-40 below a
+# sample lattice point, where Grid.slice_of's -1e-9 decides the first sample
+_ORIGINS = [-16.0, 0.0, -5.0, -16.25, 3.5, -5.0 - 2.0 ** -40]
+
+
+@st.composite
+def dyadic_masks(draw):
+    """A grid of 2^6..2^12 samples on a length-32 domain and a sampled set:
+    empty, full, or a union of runs with single-sample holes punched in."""
+    n = 2 ** draw(st.integers(6, 12))
+    x0 = draw(st.sampled_from(_ORIGINS))
+    grid = Grid(x0, x0 + 32.0, n)
+    kind = draw(st.sampled_from(["clustered", "clustered", "all", "none"]))
+    mask = np.full(n, kind == "all")
+    if kind == "clustered":
+        index = st.integers(0, n - 1)
+        for start, width in draw(st.lists(
+                st.tuples(index, st.integers(1, n // 2)), max_size=8)):
+            mask[start:start + width] = True
+        mask[draw(st.lists(index, max_size=8))] = False
+    return grid, mask
+
+
+@settings(max_examples=120, deadline=None)
+@given(dyadic_masks())
+def test_maximal_dyadic_matches_loop(case):
+    grid, mask = case
+    assert maximal_dyadic_intervals(mask, grid) == \
+        maximal_dyadic_intervals_loop(mask, grid)
+    g = GridFunction(grid, np.where(mask, 2.0, 0.0) + 0j)
+    assert superlevel_decompose(g, 1.0) == superlevel_decompose_loop(g, 1.0)
+
+
 COVER_GRID = Grid(-4.0, 4.0, 2 ** 6)
 
 # band endpoints inside and outside the domain: arbitrary reals, sample
@@ -261,6 +295,32 @@ def test_interval_set_ops():
     g = Grid(-1.0, 5.0, 64)
     ind = s.indicator(g)
     assert lp_norm(ind, 1) == pytest.approx(3.0, abs=0.2)
+
+
+_pairs = st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64))
+                  .map(lambda p: (p[0] / 8, p[1] / 8)), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, _pairs)
+def test_interval_set_algebra(pa, pb):
+    a, b = IntervalSet.from_pairs(pa), IntervalSet.from_pairs(pb)
+    for s in (a, b):
+        assert all(lo < hi for lo, hi in s.parts)
+        assert all(s.parts[i][1] < s.parts[i + 1][0]
+                   for i in range(len(s.parts) - 1))
+    assert a.difference(b).measure + b.measure == a.union(b).measure
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Grid(-4.0, 4.0, 64), Grid(-5.0, 27.0, 128)])
+       .flatmap(lambda g: st.tuples(st.just(g), st.lists(
+           st.booleans(), min_size=g.n, max_size=g.n))))
+def test_interval_set_mask_roundtrip(case):
+    grid, bits = case
+    mask = np.array(bits)
+    got = IntervalSet.from_mask(grid, mask).indicator(grid).values.real
+    assert np.array_equal(got, mask)
 
 
 def test_interval_set_from_mask():
