@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .modelsum import bht_direct, coefficient_profile, synthesis_profile
+from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
 from .packets import PacketBank
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
                        Report, lp_norm)
-from .timefreq import (Tritile, collection_size, exceptional_sets,
-                       gamma_from_beta, size_lemma_split,
-                       thin_well_discretized, validate_tree)
+from .timefreq import (Tritile, _SizeContext, exceptional_sets,
+                       gamma_from_beta, thin_well_discretized, validate_tree)
 
 THEOREMS = ("T1", "T2", "T3", "C15")
 
@@ -120,7 +119,7 @@ def _bump(grid: Grid, width: float, p: float) -> GridFunction:
 
 
 def _family(cfg: SweepConfig, delta: float, grid: Grid):
-    """(f1, f2, F3 set, h1, h2, |F2|) per the theorem's restriction pattern."""
+    """(f1, f2, F3 set, |F2|) per the theorem's restriction pattern."""
     a1, a2, a3 = cfg.resolved_alpha()
     if cfg.set_family == "cantor":
         scale = 1.5 ** cfg.cantor_depth
@@ -131,25 +130,25 @@ def _family(cfg: SweepConfig, delta: float, grid: Grid):
     if cfg.theorem == "T1":
         f1 = _bump(grid, 4.0, 2.0)
         f2 = f2_set.indicator(grid)
-        return f1, f2, f3_set, f1, f2, f2_set.measure
+        return f1, f2, f3_set, f2_set.measure
     if cfg.theorem == "T2":
         f1 = _bump(grid, 4.0, 1.0 / a1)
         f2 = f2_set.indicator(grid)
-        return f1, f2, f3_set, f1, f2, f2_set.measure
+        return f1, f2, f3_set, f2_set.measure
     if cfg.theorem == "T3":
         f3_set = IntervalSet.from_pairs([(0.0, delta)])
         f1 = _bump(grid, 4.0, 1.0 / a1)
         f2 = _bump(grid, 2.0, 2.0)
-        return f1, f2, f3_set, f1, f2, f2_set.measure
+        return f1, f2, f3_set, f2_set.measure
     # C15: all three restricted
     f1_set = IntervalSet.from_pairs([(0.0, 1.0)])
     f1 = f1_set.indicator(grid)
     f2 = f2_set.indicator(grid)
-    return f1, f2, f3_set, f1, f2, f2_set.measure
+    return f1, f2, f3_set, f2_set.measure
 
 
-def _bound_rhs(cfg: SweepConfig, delta: float, f1n: float, f2n: float,
-               f2_measure: float, f3_measure: float) -> float:
+def _bound_rhs(cfg: SweepConfig, f1n: float, f2n: float, f2_measure: float,
+               f3_measure: float) -> float:
     """Right side of the targeted growth law with constant one."""
     a1, a2, a3 = cfg.resolved_alpha()
     if cfg.theorem == "T1":
@@ -235,10 +234,8 @@ def _oracle_value(cfg: SweepConfig, f1: GridFunction, f2: GridFunction,
     small = Grid(grid.x0, grid.x1, grid.n // stride)
     def down(f):
         return GridFunction(small, f.values[::stride].copy())
-    beta = np.asarray(cfg.beta, dtype=float)
-    b = (beta[0] - beta[2], beta[1] - beta[2])
-    bh = bht_direct(down(f1), down(f2), b, small.spacing, t_max=grid.length / 4)
-    return abs(complex((bh.values * down(f3).values).sum() * small.spacing))
+    return abs(lambda_direct(down(f1), down(f2), down(f3), cfg.beta,
+                             t_max=grid.length / 4))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -251,15 +248,15 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     def one(delta: float) -> SweepRow:
         try:
-            f1, f2, f3_set, h1, h2, f2_measure = _family(cfg, delta, grid)
-            _, _, f3_major = exceptional_sets(h1, h2, f3_set, alpha, c0=cfg.exc_c0)
+            f1, f2, f3_set, f2_measure = _family(cfg, delta, grid)
+            _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=cfg.exc_c0)
             frac = f3_major.measure / f3_set.measure
             lam_model, f3 = engine.evaluate(f1, f2, f3_major)
             lam_direct = _oracle_value(cfg, f1, f2, f3)
             a1 = alpha[0]
             f1n = lp_norm(f1, 2.0 if cfg.theorem == "T1" else 1.0 / a1)
             f2n = lp_norm(f2, 2.0)
-            rhs = _bound_rhs(cfg, delta, f1n, f2n, f2_measure, f3_set.measure)
+            rhs = _bound_rhs(cfg, f1n, f2n, f2_measure, f3_set.measure)
             return SweepRow(delta, lam_model, lam_direct, rhs,
                             lam_model / rhs if rhs > 0 else math.nan, frac)
         except ResolutionError as exc:
@@ -485,14 +482,15 @@ def run_tree_suite(seed: int, cases: int, table: InghamTable | None = None,
         if not S:
             continue
         f = random_signal(rng, grid)
-        sz = collection_size(f, S, 3, bank)
+        ctx = _SizeContext.of(S, f, 3, bank)
+        sz = ctx.size
         if sz == 0:
             continue
-        rest, forest = size_lemma_split(S, f, 3, sz, bank)
+        rest, forest = ctx.split(sz)
         key = lambda s: (s.space.scale, s.space.pos, s.freqs[0].lo)
-        if sorted(map(key, S)) != sorted(map(key, rest + forest.tritiles())):
+        if sorted(map(key, S)) != sorted(map(key, rest.S + forest.tritiles())):
             failures.append(f"case {case}: partition broken")
-        if collection_size(f, rest, 3, bank) > sz / 2 + 1e-12:
+        if rest.size > sz / 2 + 1e-12:
             failures.append(f"case {case}: halving broken")
         if forest.trees:
             l2 = lp_norm(f, 2.0)

@@ -169,25 +169,13 @@ class InghamTable:
     upsilon: GridFunction           # window samples on `grid`
     spectrum: GridFunction          # v sampled on a frequency grid over [-1, 1)
     k_max: int
-    decay_rate: float
     v0_mass: np.ndarray = field(repr=False)   # cumulative integral of v0 at cell edges
     v0_x0: float = field(repr=False, default=-2.0)
     v0_h: float = field(repr=False, default=0.0)
 
     def spectrum_at(self, xi):
         """Spectrum v(xi) = mass of v0 on [3 xi - 1/2, 3 xi + 3/2], any xi."""
-        xi = np.asarray(xi, dtype=float)
-        edges = self.v0_x0 + self.v0_h * np.arange(self.v0_mass.size)
-        hi = np.interp(3 * xi + 1.5, edges, self.v0_mass)
-        lo = np.interp(3 * xi - 0.5, edges, self.v0_mass)
-        return hi - lo
-
-    def v0_at(self, x):
-        """The mother bump itself (density of the mass profile)."""
-        x = np.asarray(x, dtype=float)
-        edges = self.v0_x0 + self.v0_h * np.arange(self.v0_mass.size)
-        return (np.interp(x + self.v0_h / 2, edges, self.v0_mass)
-                - np.interp(x - self.v0_h / 2, edges, self.v0_mass)) / self.v0_h
+        return _spectrum(xi, self.v0_mass, self.v0_x0, self.v0_h)
 
     def cutoff_at(self, x, width: float):
         """Smooth cutoff with plateau width/3 and support width, centered at 0.
@@ -196,6 +184,13 @@ class InghamTable:
         [-width/6, width/6] and vanishes off [-width/2, width/2].
         """
         return self.spectrum_at(np.asarray(x, dtype=float) / width)
+
+
+def _spectrum(xi, mass: np.ndarray, x0: float, h: float):
+    """v(xi) from the cumulative mass of v0 sampled at the edges x0 + h k."""
+    xi = np.asarray(xi, dtype=float)
+    edges = x0 + h * np.arange(mass.size)
+    return np.interp(3 * xi + 1.5, edges, mass) - np.interp(3 * xi - 0.5, edges, mass)
 
 
 def _box_widths(params: OsgoodParams, h0: float, k_max: int | None) -> list[float]:
@@ -249,14 +244,8 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
         v = out
 
     mass = np.concatenate([[0.0], np.cumsum(v) * h0])
-    edges = -2.0 + h0 * np.arange(mass.size)
-
-    def v_at(xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.interp(3 * xi + 1.5, edges, mass) - np.interp(3 * xi - 0.5, edges, mass)
-
     freq_grid = Grid(-1.0, 1.0, grid_n)
-    spec = GridFunction(freq_grid, v_at(freq_grid.xs()) + 0j)
+    spec = GridFunction(freq_grid, _spectrum(freq_grid.xs(), mass, -2.0, h0) + 0j)
 
     # window samples: inverse transform of v on a frequency lattice of spacing
     # 1/(4 x_max); the nearest periodization alias sits at distance >= 3 x_max
@@ -264,7 +253,8 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
     dxi = 1.0 / (4.0 * x_max)
     m_half = int(math.ceil(0.5 / dxi)) + 1
     xi = dxi * np.arange(-m_half, m_half + 1)
-    ups = np.exp(2j * np.pi * np.outer(sgrid.xs(), xi)) @ v_at(xi) * dxi
+    ups = (np.exp(2j * np.pi * np.outer(sgrid.xs(), xi))
+           @ _spectrum(xi, mass, -2.0, h0) * dxi)
 
     return InghamTable(
         params=params,
@@ -272,7 +262,6 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
         upsilon=GridFunction(sgrid, ups),
         spectrum=spec,
         k_max=len(widths),
-        decay_rate=DECAY_RATE,
         v0_mass=mass,
         v0_x0=-2.0,
         v0_h=h0,
@@ -318,7 +307,6 @@ def load_table(path) -> InghamTable:
         upsilon=GridFunction(sgrid, data["upsilon"]),
         spectrum=GridFunction(Grid(-1.0, 1.0, grid_n), data["spectrum"]),
         k_max=int(data["k_max"]),
-        decay_rate=DECAY_RATE,
         v0_mass=data["v0_mass"],
         v0_x0=-2.0,
         v0_h=float(data["v0_h"]),

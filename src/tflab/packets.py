@@ -119,21 +119,19 @@ def tile_packet(tile: Tile, eps: float, table: InghamTable, grid: Grid) -> WaveP
 
 
 class PacketBank:
-    """Canonical-packet cache over a fixed (table, grid, eps) context."""
+    """Canonical packets and coefficients over a fixed (table, grid, eps) context.
+
+    Holds no packets: each call builds the packet it needs.  Callers that reuse
+    coefficients (the size contexts of `tflab.timefreq`) keep them as data.
+    """
 
     def __init__(self, table: InghamTable, grid: Grid, eps: float):
         self.table = table
         self.grid = grid
         self.eps = eps
-        self._cache: dict = {}
 
     def packet(self, td: TopDatum) -> WavePacket:
-        key = (td.interval.scale, td.interval.pos, td.xi)
-        p = self._cache.get(key)
-        if p is None:
-            p = canonical_packet(td, self.eps, self.table, self.grid)
-            self._cache[key] = p
-        return p
+        return canonical_packet(td, self.eps, self.table, self.grid)
 
     def coefficient(self, f: GridFunction, td: TopDatum) -> complex:
         """<f, packet> under the grid inner product."""

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -265,18 +266,18 @@ def thin_well_discretized(S, r_const: float = R_CONST) -> list[Tritile]:
 # size: one evaluator for measurement and selection
 
 class _SizeContext:
-    """Candidate tops, frequency regions, and coefficient cache for slot j.
+    """Candidate tops and frequency regions over slot-j coefficient magnitudes.
 
+    `coeff2[i]` is |<f, phi_s^j>|^2 for the i-th member; the geometry (tops,
+    xi-regions, containment, lacunarity) is built from the member list alone.
     Block values for every (top, region) pair reduce to one matrix product,
     which keeps the greedy selection loop quadratic rather than cubic.
     """
 
-    def __init__(self, S, f: GridFunction, j: int, bank: PacketBank):
+    def __init__(self, S, coeff2: np.ndarray, j: int):
         self.S = list(S)
         self.j = j
-        self.bank = bank
-        self.coeff2 = np.array(
-            [abs(bank.coefficient(f, s.tile_datum(j))) ** 2 for s in self.S])
+        self.coeff2 = coeff2
         self.centers = np.array([s.freqs[j - 1].center for s in self.S])
         self.widths = np.array([s.freqs[j - 1].length for s in self.S])
         self.tops = self._candidate_tops()
@@ -285,6 +286,18 @@ class _SizeContext:
             [[top.contains(s.space) for s in self.S] for top in self.tops])
         self.lac = np.array([self.lacunary_mask(xi) for xi in self.xi_regions])
         self.top_len = np.array([t.length for t in self.tops])
+
+    @classmethod
+    def of(cls, S, f: GridFunction, j: int, bank: PacketBank) -> _SizeContext:
+        """The context of S for f: one coefficient per member."""
+        S = list(S)
+        return cls(S, np.array(
+            [abs(bank.coefficient(f, s.tile_datum(j))) ** 2 for s in S]), j)
+
+    def restrict(self, keep: np.ndarray) -> _SizeContext:
+        """The context of the members where `keep` is true, same coefficients."""
+        return _SizeContext([s for s, k in zip(self.S, keep) if k],
+                            self.coeff2[keep], self.j)
 
     def _candidate_tops(self) -> list[DyadicInterval]:
         if not self.S:
@@ -322,29 +335,57 @@ class _SizeContext:
         mass = weighted @ self.lac.T
         return np.sqrt(mass / self.top_len[:, None])
 
-    def best(self, alive: np.ndarray):
-        """(value, top, xi) of the largest lacunary block among candidates."""
-        if not self.tops or self.xi_regions.size == 0:
-            return (0.0, None, None)
-        vals = self.block_table(alive)
-        t, r = np.unravel_index(np.argmax(vals), vals.shape)
-        return (float(vals[t, r]), self.tops[t], float(self.xi_regions[r]))
+    @cached_property
+    def size(self) -> float:
+        """The largest lacunary block value over every member (0 when empty)."""
+        if not self.tops:
+            return 0.0
+        return float(self.block_table(np.ones(len(self.S), dtype=bool)).max())
+
+    def split(self, sigma: float) -> tuple[_SizeContext, Forest]:
+        """(context of the rest, forest of trees) of the size lemma at sigma.
+
+        Greedy two-sweep selection: repeatedly take the heaviest-eligible
+        candidate with minimal top frequency (then maximal top interval, then
+        lexicographic order), extracting the full R-window tree of the chosen
+        top; the mirrored maximal-frequency sweep follows.
+        """
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if not self.S:
+            return self, Forest(())
+        if self.size > sigma * (1 + 1e-9):
+            raise ValueError(f"collection size exceeds sigma = {sigma}")
+        alive = np.ones(len(self.S), dtype=bool)
+        trees: list[Tree] = []
+        for direction in (1.0, -1.0):
+            while True:
+                vals = self.block_table(alive)
+                heavy = np.argwhere(vals > sigma / 2)
+                if heavy.size == 0:
+                    break
+                cands = [(direction * self.xi_regions[r], -self.tops[t].length,
+                          self.tops[t].scale, self.tops[t].pos, t, r)
+                         for t, r in heavy]
+                cands.sort()
+                _, _, _, _, t, r = cands[0]
+                top, xi = self.tops[t], float(self.xi_regions[r])
+                mem = alive & self.contain[t] & self.window_mask(xi)
+                members = tuple(s for s, m in zip(self.S, mem) if m)
+                trees.append(_make_tree(top, xi, members, self.j))
+                alive &= ~mem
+        return self.restrict(alive), Forest(tuple(trees))
 
 
 def collection_size(f: GridFunction, S, j: int, bank: PacketBank) -> float:
     """Operative slot-j size of the collection (canonical packet family)."""
-    S = list(S)
-    if not S:
-        return 0.0
-    ctx = _SizeContext(S, f, j, bank)
-    return ctx.best(np.ones(len(S), dtype=bool))[0]
+    return _SizeContext.of(S, f, j, bank).size
 
 
-def tree_size(f: GridFunction, tree: Tree, j: int, bank: PacketBank) -> float:
-    """Size of the tree in slot j: sup form on its own type, l2 block otherwise."""
+def _tree_size(coeffs, tree: Tree, j: int) -> float:
+    """tree_size from the members' slot-j coefficient magnitudes."""
     if not tree.tritiles:
         return 0.0
-    coeffs = [abs(bank.coefficient(f, s.tile_datum(j))) for s in tree.tritiles]
     if j == tree.tree_type:
         return max(c / math.sqrt(s.space.length)
                    for c, s in zip(coeffs, tree.tritiles))
@@ -355,19 +396,23 @@ def tree_size(f: GridFunction, tree: Tree, j: int, bank: PacketBank) -> float:
     return math.sqrt(sum(c**2 for c in coeffs) / tree.space.length)
 
 
+def tree_size(f: GridFunction, tree: Tree, j: int, bank: PacketBank) -> float:
+    """Size of the tree in slot j: sup form on its own type, l2 block otherwise."""
+    return _tree_size([abs(bank.coefficient(f, s.tile_datum(j)))
+                       for s in tree.tritiles], tree, j)
+
+
 def single_tree_bound(tree: Tree, f1: GridFunction, f2: GridFunction,
                       f3: GridFunction, bank: PacketBank) -> tuple[float, float]:
     """(lhs, rhs) of the single tree estimate: coefficient sum vs |I_T| * sizes."""
-    fs = (f1, f2, f3)
+    coeffs = [[abs(bank.coefficient(f, s.tile_datum(j))) for s in tree.tritiles]
+              for j, f in ((1, f1), (2, f2), (3, f3))]
     lhs = 0.0
-    for s in tree.tritiles:
-        prod = 1.0
-        for j in range(1, 4):
-            prod *= abs(bank.coefficient(fs[j - 1], s.tile_datum(j)))
-        lhs += prod / math.sqrt(s.space.length)
+    for s, c1, c2, c3 in zip(tree.tritiles, *coeffs):
+        lhs += c1 * c2 * c3 / math.sqrt(s.space.length)
     rhs = tree.space.length
     for j in range(1, 4):
-        rhs *= tree_size(fs[j - 1], tree, j, bank)
+        rhs *= _tree_size(coeffs[j - 1], tree, j)
     return lhs, rhs
 
 
@@ -378,40 +423,11 @@ def size_lemma_split(S, f: GridFunction, j: int, sigma: float,
                      bank: PacketBank) -> tuple[list[Tritile], Forest]:
     """Extract trees of slot-j block value > sigma/2; the rest has size <= sigma/2.
 
-    Greedy two-sweep selection: repeatedly take the heaviest-eligible candidate
-    with minimal top frequency (then maximal top interval, then lexicographic
-    order), extracting the full R-window tree of the chosen top; the mirrored
-    maximal-frequency sweep follows.  Partition and halving are exact for the
-    operative size evaluator.
+    The greedy two-sweep selection of `_SizeContext.split`.  Partition and
+    halving are exact for the operative size evaluator.
     """
-    S = list(S)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if not S:
-        return [], Forest(())
-    ctx = _SizeContext(S, f, j, bank)
-    alive = np.ones(len(S), dtype=bool)
-    if ctx.best(alive)[0] > sigma * (1 + 1e-9):
-        raise ValueError(f"collection size exceeds sigma = {sigma}")
-    trees: list[Tree] = []
-    for direction in (1.0, -1.0):
-        while True:
-            vals = ctx.block_table(alive)
-            heavy = np.argwhere(vals > sigma / 2)
-            if heavy.size == 0:
-                break
-            cands = [(direction * ctx.xi_regions[r], -ctx.tops[t].length,
-                      ctx.tops[t].scale, ctx.tops[t].pos, t, r)
-                     for t, r in heavy]
-            cands.sort()
-            _, _, _, _, t, r = cands[0]
-            top, xi = ctx.tops[t], float(ctx.xi_regions[r])
-            mem = alive & ctx.contain[t] & ctx.window_mask(xi)
-            members = tuple(s for s, m in zip(ctx.S, mem) if m)
-            trees.append(_make_tree(top, xi, members, j))
-            alive &= ~mem
-    rest = [s for s, a in zip(ctx.S, alive) if a]
-    return rest, Forest(tuple(trees))
+    rest, forest = _SizeContext.of(S, f, j, bank).split(sigma)
+    return rest.S, forest
 
 
 def _make_tree(top: DyadicInterval, xi: float, members, j: int) -> Tree:
@@ -431,26 +447,22 @@ def f3_decompose(S, f3: GridFunction, bank: PacketBank,
 
     Level k trees have block value in (sigma0 2^-(k+1), sigma0 2^-k] where
     sigma0 is the initial size; tritiles invisible to f3 (size zero) end in a
-    remainder forest with level None, as singleton trees.
+    remainder forest with level None, as singleton trees.  The slot-3
+    coefficients are computed once; each round splits the context of the
+    previous round's rest.
     """
-    current = list(S)
+    ctx = _SizeContext.of(S, f3, 3, bank)
+    sigma = ctx.size
     out: list[Forest] = []
-    if not current:
-        return out
-    sigma0 = collection_size(f3, current, 3, bank)
-    sigma = sigma0
     for k in range(max_rounds):
-        if not current or sigma0 == 0.0:
+        if ctx.size == 0.0:
             break
-        rest, forest = size_lemma_split(current, f3, 3, sigma, bank)
+        ctx, forest = ctx.split(sigma)
         if forest.trees:
             out.append(Forest(forest.trees, k=k))
-        current = rest
         sigma /= 2.0
-        if collection_size(f3, current, 3, bank) == 0.0:
-            break
-    if current:
-        singles = tuple(Tree(s.tile_datum(3), (s,), 3) for s in current)
+    if ctx.S:
+        singles = tuple(Tree(s.tile_datum(3), (s,), 3) for s in ctx.S)
         out.append(Forest(singles, k=None))
     return out
 

@@ -10,9 +10,11 @@ import math
 import numpy as np
 
 from tflab.errors import ResolutionError
-from tflab.packets import TopDatum, WavePacket
+from tflab.lab import random_collection, random_signal
+from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (DyadicInterval, Grid, GridFunction, _sliding_max,
-                            dyadic_cover, grid_dyadic_scales)
+                            dyadic_cover, grid_dyadic_scales, lp_norm)
+from tflab.timefreq import Forest, Tree, _make_tree, validate_tree
 
 
 def maximal_function_brute(f: GridFunction, p: float) -> GridFunction:
@@ -135,3 +137,182 @@ def synthesis_profile_full(weights, grid: Grid, scale: float, xi: float,
         return None
     hat /= math.sqrt(norm2)
     return np.fft.ifft(np.fft.fft(weights) * hat) * (grid.n / grid.length)
+
+
+# size-lemma selection with a packet cache: every size evaluation and every
+# split builds its own context and asks the bank for each member again
+
+class CachingPacketBank:
+    """Canonical-packet cache over a fixed (table, grid, eps) context."""
+
+    def __init__(self, table, grid: Grid, eps: float):
+        self.table = table
+        self.grid = grid
+        self.eps = eps
+        self._cache: dict = {}
+
+    def packet(self, td: TopDatum) -> WavePacket:
+        key = (td.interval.scale, td.interval.pos, td.xi)
+        p = self._cache.get(key)
+        if p is None:
+            p = canonical_packet(td, self.eps, self.table, self.grid)
+            self._cache[key] = p
+        return p
+
+    def coefficient(self, f: GridFunction, td: TopDatum) -> complex:
+        p = self.packet(td)
+        return complex(np.vdot(p.samples.values, f.values) * self.grid.spacing)
+
+
+class SizeContextRef:
+    def __init__(self, S, f: GridFunction, j: int, bank):
+        self.S = list(S)
+        self.j = j
+        self.coeff2 = np.array(
+            [abs(bank.coefficient(f, s.tile_datum(j))) ** 2 for s in self.S])
+        self.centers = np.array([s.freqs[j - 1].center for s in self.S])
+        self.widths = np.array([s.freqs[j - 1].length for s in self.S])
+        self.tops = self._candidate_tops()
+        self.xi_regions = self._candidate_freqs()
+        self.contain = np.array(
+            [[top.contains(s.space) for s in self.S] for top in self.tops])
+        self.lac = np.array([self.lacunary_mask(xi) for xi in self.xi_regions])
+        self.top_len = np.array([t.length for t in self.tops])
+
+    def _candidate_tops(self):
+        if not self.S:
+            return []
+        span_lo = min(s.space.lo for s in self.S)
+        span_hi = max(s.space.hi for s in self.S)
+        max_scale = math.ceil(math.log2(max(span_hi - span_lo, 1e-12))) + 1
+        tops = set()
+        for s in self.S:
+            q = s.space
+            while q.scale <= max_scale:
+                tops.add(q)
+                q = q.parent()
+        return sorted(tops)
+
+    def _candidate_freqs(self):
+        pts = set()
+        for c, w in zip(self.centers, self.widths):
+            for dil in (2.0, R_CONST):
+                pts.add(c - dil * w / 2)
+                pts.add(c + dil * w / 2)
+        pts = sorted(pts)
+        return np.array([0.5 * (a + b) for a, b in zip(pts, pts[1:]) if b > a])
+
+    def lacunary_mask(self, xi):
+        d = np.abs(xi - self.centers)
+        return (d < R_CONST * self.widths / 2) & (d >= self.widths)
+
+    def window_mask(self, xi):
+        return np.abs(xi - self.centers) < R_CONST * self.widths / 2
+
+    def block_table(self, alive):
+        weighted = self.contain * (alive * self.coeff2)
+        mass = weighted @ self.lac.T
+        return np.sqrt(mass / self.top_len[:, None])
+
+    def best(self, alive):
+        if not self.tops or self.xi_regions.size == 0:
+            return (0.0, None, None)
+        vals = self.block_table(alive)
+        t, r = np.unravel_index(np.argmax(vals), vals.shape)
+        return (float(vals[t, r]), self.tops[t], float(self.xi_regions[r]))
+
+
+def collection_size_ref(f, S, j, bank) -> float:
+    S = list(S)
+    if not S:
+        return 0.0
+    ctx = SizeContextRef(S, f, j, bank)
+    return ctx.best(np.ones(len(S), dtype=bool))[0]
+
+
+def size_lemma_split_ref(S, f, j, sigma, bank):
+    S = list(S)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if not S:
+        return [], Forest(())
+    ctx = SizeContextRef(S, f, j, bank)
+    alive = np.ones(len(S), dtype=bool)
+    if ctx.best(alive)[0] > sigma * (1 + 1e-9):
+        raise ValueError(f"collection size exceeds sigma = {sigma}")
+    trees = []
+    for direction in (1.0, -1.0):
+        while True:
+            vals = ctx.block_table(alive)
+            heavy = np.argwhere(vals > sigma / 2)
+            if heavy.size == 0:
+                break
+            cands = [(direction * ctx.xi_regions[r], -ctx.tops[t].length,
+                      ctx.tops[t].scale, ctx.tops[t].pos, t, r)
+                     for t, r in heavy]
+            cands.sort()
+            _, _, _, _, t, r = cands[0]
+            top, xi = ctx.tops[t], float(ctx.xi_regions[r])
+            mem = alive & ctx.contain[t] & ctx.window_mask(xi)
+            members = tuple(s for s, m in zip(ctx.S, mem) if m)
+            trees.append(_make_tree(top, xi, members, j))
+            alive &= ~mem
+    rest = [s for s, a in zip(ctx.S, alive) if a]
+    return rest, Forest(tuple(trees))
+
+
+def f3_decompose_ref(S, f3, bank, max_rounds: int = 60):
+    current = list(S)
+    out = []
+    if not current:
+        return out
+    sigma0 = collection_size_ref(f3, current, 3, bank)
+    sigma = sigma0
+    for k in range(max_rounds):
+        if not current or sigma0 == 0.0:
+            break
+        rest, forest = size_lemma_split_ref(current, f3, 3, sigma, bank)
+        if forest.trees:
+            out.append(Forest(forest.trees, k=k))
+        current = rest
+        sigma /= 2.0
+        if collection_size_ref(f3, current, 3, bank) == 0.0:
+            break
+    if current:
+        singles = tuple(Tree(s.tile_datum(3), (s,), 3) for s in current)
+        out.append(Forest(singles, k=None))
+    return out
+
+
+def tree_suite_stats_ref(seed: int, cases: int, table, grid_n: int = 2 ** 12):
+    """run_tree_suite's stats and notes, three size contexts per case."""
+    grid = Grid(-16.0, 16.0, grid_n)
+    rng = np.random.default_rng(seed)
+    bank = CachingPacketBank(table, grid, 0.5)
+    failures = []
+    counting_cs = []
+    for case in range(cases):
+        S = random_collection(rng, grid)
+        if not S:
+            continue
+        f = random_signal(rng, grid)
+        sz = collection_size_ref(f, S, 3, bank)
+        if sz == 0:
+            continue
+        rest, forest = size_lemma_split_ref(S, f, 3, sz, bank)
+        key = lambda s: (s.space.scale, s.space.pos, s.freqs[0].lo)
+        if sorted(map(key, S)) != sorted(map(key, rest + forest.tritiles())):
+            failures.append(f"case {case}: partition broken")
+        if collection_size_ref(f, rest, 3, bank) > sz / 2 + 1e-12:
+            failures.append(f"case {case}: halving broken")
+        if forest.trees:
+            l2 = lp_norm(f, 2.0)
+            mass = sum(t.space.length for t in forest.trees)
+            counting_cs.append(mass / (l2 / sz) ** 2)
+        for t in forest.trees:
+            if validate_tree(t):
+                failures.append(f"case {case}: invalid tree")
+    stats = {"cases": float(cases), "failures": float(len(failures))}
+    if counting_cs:
+        stats["counting_c_max"] = float(max(counting_cs))
+    return stats, failures[:10]

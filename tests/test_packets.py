@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,12 +138,23 @@ def test_tile_packet(table, grid):
         Tile(DyadicInterval(0, 0), Band(0.0, 2.0))  # area 2
 
 
-def test_bank_caching(table, grid):
+def test_bank_holds_no_packets(table, grid):
     bank = PacketBank(table, grid, 0.25)
     td = TopDatum(DyadicInterval(0, 0), 2.0)
-    assert bank.packet(td) is bank.packet(td)
     f = bank.packet(td).samples
     assert bank.coefficient(f, td) == pytest.approx(1.0, abs=1e-9)
+    # 200 distinct data: whatever the bank kept would outlive the calls
+    data = [TopDatum(DyadicInterval(-1, pos), xi)
+            for pos in range(-25, 25) for xi in (1.0, 2.0, 3.0, 4.0)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for d in data:
+            bank.coefficient(f, d)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < f.values.nbytes
 
 
 # ---------------------------------------------------------------------------

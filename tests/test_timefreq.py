@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tflab.errors import DegeneracyError
-from tflab.lab import random_collection, random_signal
+from tflab.lab import random_collection, random_signal, run_tree_suite
 from tflab.packets import PacketBank, TopDatum
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, IntervalSet
 from tflab.timefreq import (Forest, Tree, Tritile, build_tritile_lattice,
@@ -17,6 +19,9 @@ from tflab.timefreq import (Forest, Tree, Tritile, build_tritile_lattice,
                             tree_size, validate_tree)
 
 from conftest import bump_signal
+from reference import (CachingPacketBank, collection_size_ref,
+                       f3_decompose_ref, size_lemma_split_ref,
+                       tree_suite_stats_ref)
 
 
 def suite_bank(table, grid):
@@ -248,6 +253,87 @@ def test_f3_decompose_partition_and_levels(table, grid):
             continue
         level_size = collection_size(f3, fo.tritiles(), 3, bank)
         assert level_size <= sigma0 * 2.0 ** -fo.k + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one coefficient vector per collection, against the caching reference
+
+@st.composite
+def size_draws(draw):
+    """(S, f): a ray collection and a signal at unit, 1e-14 or zero scale.
+
+    Many unit-scale draws of f3_decompose halve down to rounding noise and the
+    1e-14 draws start there, so near-ties between block values are common.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = Grid(-16.0, 16.0, 2 ** 12)
+    scales = draw(st.sampled_from([(2, 0, -2), (1, -1), (2, 0), (0, -2)]))
+    S = random_collection(rng, grid, scales=scales)
+    f = random_signal(rng, grid, n_bumps=draw(st.integers(1, 5)),
+                      freq_max=draw(st.sampled_from([2.0, 8.0])))
+    amp = draw(st.sampled_from([1.0, 1e-14, 0.0]))
+    return S, GridFunction(grid, f.values * amp)
+
+
+def forest_record(forests):
+    """Everything a forest says: level, top datum, type, members, witnesses."""
+    return [(fo.k, [(t.top, t.tree_type, t.tritiles, t.lacunary_freqs)
+                    for t in fo.trees]) for fo in forests]
+
+
+@settings(max_examples=40, deadline=None)
+@given(size_draws())
+def test_size_selection_matches_caching_reference(table, draw):
+    S, f = draw
+    grid = f.grid
+    bank, ref_bank = PacketBank(table, grid, 0.5), CachingPacketBank(table, grid, 0.5)
+    sz = collection_size(f, S, 3, bank)
+    assert sz == collection_size_ref(f, S, 3, ref_bank)
+    if sz > 0:
+        rest, forest = size_lemma_split(S, f, 3, sz, bank)
+        rest_ref, forest_ref = size_lemma_split_ref(S, f, 3, sz, ref_bank)
+        assert rest == rest_ref
+        assert forest_record([forest]) == forest_record([forest_ref])
+    assert (forest_record(f3_decompose(S, f, bank))
+            == forest_record(f3_decompose_ref(S, f, ref_bank)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2 ** 12, 2 ** 13]))
+def test_tree_suite_matches_caching_reference(table, seed, grid_n):
+    rep = run_tree_suite(seed, 4, table=table, grid_n=grid_n)
+    stats, notes = tree_suite_stats_ref(seed, 4, table, grid_n=grid_n)
+    assert rep.stats == stats and rep.notes == notes
+
+
+@settings(max_examples=40, deadline=None)
+@given(size_draws())
+def test_size_lemma_partition_and_halving(table, draw):
+    S, f = draw
+    bank = PacketBank(table, f.grid, 0.5)
+    sz = collection_size(f, S, 3, bank)
+    if sz == 0:
+        return
+    rest, forest = size_lemma_split(S, f, 3, sz, bank)
+    assert sorted(map(tile_key, rest + forest.tritiles())) == sorted(map(tile_key, S))
+    assert collection_size(f, rest, 3, bank) <= sz / 2 * (1 + 1e-12)
+    for t in forest.trees:
+        assert not validate_tree(t, r_const=32.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size_draws())
+def test_f3_decompose_level_bound(table, draw):
+    S, f = draw
+    bank = PacketBank(table, f.grid, 0.5)
+    forests = f3_decompose(S, f, bank)
+    everything = [s for fo in forests for s in fo.tritiles()]
+    assert sorted(map(tile_key, everything)) == sorted(map(tile_key, S))
+    sigma0 = collection_size(f, S, 3, bank)
+    for fo in forests:
+        if fo.k is not None:
+            level = collection_size(f, fo.tritiles(), 3, bank)
+            assert level <= sigma0 * 2.0 ** -fo.k * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
