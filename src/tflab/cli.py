@@ -1,8 +1,9 @@
 """Command-line interface: window builds, decompositions, audits, and sweeps.
 
-Subcommands: ingham, mfcz, tree-suite, sweep, oracle.  A flat TOML-style
-config file (`key = value` lines) can seed any flag; explicit flags win.
-Exit codes: 0 ok, 1 error, 2 empty-result warning.
+Subcommands: ingham, mfcz, tree-suite, sweep, oracle.  An argument `@FILE`
+expands in place to the arguments in FILE, one per line (`--grid-n=4096`);
+flags after it win.  Exit codes: 0 ok, 1 error, 2 empty-result warning or
+usage error.
 """
 
 from __future__ import annotations
@@ -21,39 +22,6 @@ from .osgood import OsgoodParams, build_ingham, verify_decay, verify_sandwich
 from .packets import TopDatum
 from .sampling import (DyadicInterval, read_gridfunction_csv,
                        write_gridfunction_csv)
-
-
-def parse_config(path: str) -> dict:
-    """Flat key = value file: quoted strings, numbers, booleans, [lists]."""
-    out: dict = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = _parse_value(val)
-    return out
-
-
-def _parse_value(val: str):
-    if val.startswith("[") and val.endswith("]"):
-        inner = val[1:-1].strip()
-        return [_parse_value(v.strip()) for v in inner.split(",")] if inner else []
-    if val.startswith('"') and val.endswith('"'):
-        return val[1:-1]
-    if val.lower() in ("true", "false"):
-        return val.lower() == "true"
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        return val
 
 
 def _parse_tops(spec: str) -> list[TopDatum]:
@@ -160,15 +128,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """Parser plus a name -> subparser map (used to seed config defaults)."""
-    ap = argparse.ArgumentParser(prog="tflab")
-    ap.add_argument("--config", help="flat key = value config file")
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="tflab", fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = commands["ingham"] = sub.add_parser(
-        "ingham", help="build and verify the window table")
+    p = sub.add_parser("ingham", help="build and verify the window table")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=2 ** 14)
@@ -176,7 +140,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingham)
 
-    p = commands["mfcz"] = sub.add_parser(
+    p = sub.add_parser(
         "mfcz", help="multi-frequency decomposition of a CSV signal")
     p.add_argument("--signal", required=True)
     p.add_argument("--tops-file", dest="tops", required=True,
@@ -193,14 +157,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out-csv")
     p.set_defaults(func=_cmd_mfcz)
 
-    p = commands["tree-suite"] = sub.add_parser(
-        "tree-suite", help="randomized tree/forest audits")
+    p = sub.add_parser("tree-suite", help="randomized tree/forest audits")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=25)
     p.set_defaults(func=_cmd_tree_suite)
 
-    p = commands["sweep"] = sub.add_parser(
-        "sweep", help="endpoint growth-law sweep")
+    p = sub.add_parser("sweep", help="endpoint growth-law sweep")
     p.add_argument("--theorem", choices=lab.THEOREMS, default="T1")
     p.add_argument("--alpha", type=float, nargs=3)
     p.add_argument("--set-family", choices=["interval", "cantor"],
@@ -215,8 +177,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out-svg")
     p.set_defaults(func=_cmd_sweep)
 
-    p = commands["oracle"] = sub.add_parser(
-        "oracle", help="direct p.v. transform of CSV signals")
+    p = sub.add_parser("oracle", help="direct p.v. transform of CSV signals")
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--b1", type=float, default=1.0)
@@ -224,19 +185,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--h-cut", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
-    return ap, commands
+    return ap
 
 
 def main(argv=None) -> int:
-    ap, commands = build_parser()
-    args, _ = ap.parse_known_args(argv)
-    if args.config:
-        defaults = parse_config(args.config)
-        ap, commands = build_parser()
-        for sp in commands.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LabError, ValueError, OSError) as exc:

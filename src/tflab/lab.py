@@ -71,8 +71,11 @@ class SweepConfig:
         if self.theorem not in THEOREMS:
             raise ValueError(f"theorem must be one of {THEOREMS}")
         r = self.ratios
-        if not r or any(x <= 0 for x in r) or any(a <= b for a, b in zip(r, r[1:])):
-            raise ValueError("ratios must be positive and strictly decreasing")
+        if (not r or not all(math.isfinite(x) and x > 0 for x in r)
+                or any(a <= b for a, b in zip(r, r[1:]))):
+            raise ValueError("ratios must be finite, positive and strictly decreasing")
+        if not 0 < self.eps <= 1:
+            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
         if self.resolved_alpha() is not None and not in_hexagon(self.resolved_alpha()):
             raise ValueError("alpha outside the admissible hexagon")
 

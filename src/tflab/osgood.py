@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,9 +174,13 @@ class InghamTable:
     v0_x0: float = field(repr=False, default=-2.0)
     v0_h: float = field(repr=False, default=0.0)
 
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        return _cell_edges(self.v0_mass, self.v0_x0, self.v0_h)
+
     def spectrum_at(self, xi):
         """Spectrum v(xi) = mass of v0 on [3 xi - 1/2, 3 xi + 3/2], any xi."""
-        return _spectrum(xi, self.v0_mass, self.v0_x0, self.v0_h)
+        return _spectrum(xi, self._edges, self.v0_mass)
 
     def cutoff_at(self, x, width: float):
         """Smooth cutoff with plateau width/3 and support width, centered at 0.
@@ -186,10 +191,14 @@ class InghamTable:
         return self.spectrum_at(np.asarray(x, dtype=float) / width)
 
 
-def _spectrum(xi, mass: np.ndarray, x0: float, h: float):
-    """v(xi) from the cumulative mass of v0 sampled at the edges x0 + h k."""
+def _cell_edges(mass: np.ndarray, x0: float, h: float) -> np.ndarray:
+    """The edges x0 + h k at which the cumulative mass of v0 is sampled."""
+    return x0 + h * np.arange(mass.size)
+
+
+def _spectrum(xi, edges: np.ndarray, mass: np.ndarray):
+    """v(xi) from the cumulative mass of v0 sampled at `edges`."""
     xi = np.asarray(xi, dtype=float)
-    edges = x0 + h * np.arange(mass.size)
     return np.interp(3 * xi + 1.5, edges, mass) - np.interp(3 * xi - 0.5, edges, mass)
 
 
@@ -244,8 +253,14 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
         v = out
 
     mass = np.concatenate([[0.0], np.cumsum(v) * h0])
+
+    def v_at(xi):
+        # edges built per call: none is held while the window matrix below,
+        # the memory peak of the build, exists
+        return _spectrum(xi, _cell_edges(mass, -2.0, h0), mass)
+
     freq_grid = Grid(-1.0, 1.0, grid_n)
-    spec = GridFunction(freq_grid, _spectrum(freq_grid.xs(), mass, -2.0, h0) + 0j)
+    spec = GridFunction(freq_grid, v_at(freq_grid.xs()) + 0j)
 
     # window samples: inverse transform of v on a frequency lattice of spacing
     # 1/(4 x_max); the nearest periodization alias sits at distance >= 3 x_max
@@ -253,8 +268,7 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
     dxi = 1.0 / (4.0 * x_max)
     m_half = int(math.ceil(0.5 / dxi)) + 1
     xi = dxi * np.arange(-m_half, m_half + 1)
-    ups = (np.exp(2j * np.pi * np.outer(sgrid.xs(), xi))
-           @ _spectrum(xi, mass, -2.0, h0) * dxi)
+    ups = np.exp(2j * np.pi * np.outer(sgrid.xs(), xi)) @ v_at(xi) * dxi
 
     return InghamTable(
         params=params,
@@ -271,46 +285,6 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
 def _spatial_grid(x_max: float) -> Grid:
     n = 1 << max(4, math.ceil(math.log2(16 * x_max)))
     return Grid(-x_max, x_max, n)
-
-
-TABLE_CACHE_VERSION = 1
-
-
-def save_table(table: InghamTable, path) -> None:
-    """Binary cache of the table, keyed by (lam, k_max, grid_n)."""
-    np.savez_compressed(
-        path,
-        version=TABLE_CACHE_VERSION,
-        lam=table.params.lam,
-        k_max=table.k_max,
-        grid_n=(table.v0_mass.size - 1) // 4,
-        x_max=table.grid.x1,
-        v0_mass=table.v0_mass,
-        v0_h=table.v0_h,
-        upsilon=table.upsilon.values,
-        spectrum=table.spectrum.values,
-    )
-
-
-def load_table(path) -> InghamTable:
-    """Reload a cached table; rejects unknown cache versions."""
-    data = np.load(path)
-    if int(data["version"]) != TABLE_CACHE_VERSION:
-        raise ValueError(f"unsupported table cache version {data['version']}")
-    params = OsgoodParams(float(data["lam"]))
-    x_max = float(data["x_max"])
-    sgrid = _spatial_grid(x_max)
-    grid_n = int(data["grid_n"])
-    return InghamTable(
-        params=params,
-        grid=sgrid,
-        upsilon=GridFunction(sgrid, data["upsilon"]),
-        spectrum=GridFunction(Grid(-1.0, 1.0, grid_n), data["spectrum"]),
-        k_max=int(data["k_max"]),
-        v0_mass=data["v0_mass"],
-        v0_x0=-2.0,
-        v0_h=float(data["v0_h"]),
-    )
 
 
 def verify_sandwich(table: InghamTable) -> Report:

@@ -264,8 +264,8 @@ def freq_window_for_scale(xi: float, inv_length: float, eps: float) -> Band:
     return best
 
 
-def xi_H(td: TopDatum, H: Band, K: float, params: OsgoodParams, eps: float,
-         r_const: float = R_CONST) -> np.ndarray:
+def xi_H(td: TopDatum, H: Band, K: float, params: OsgoodParams,
+         eps: float) -> np.ndarray:
     """Mean-zero frequency set of the datum relative to the interval H.
 
     Returns {xi} together with the lattices of every dyadic subinterval J of I

@@ -426,24 +426,6 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
 
-GRIDFUNCTION_CACHE_VERSION = 1
-
-
-def save_gridfunction(f: GridFunction, path) -> None:
-    """Versioned binary cache of a grid function."""
-    np.savez_compressed(path, version=GRIDFUNCTION_CACHE_VERSION,
-                        x0=f.grid.x0, x1=f.grid.x1, n=f.grid.n,
-                        values=f.values)
-
-
-def load_gridfunction(path) -> GridFunction:
-    data = np.load(path)
-    if int(data["version"]) != GRIDFUNCTION_CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {data['version']}")
-    grid = Grid(float(data["x0"]), float(data["x1"]), int(data["n"]))
-    return GridFunction(grid, data["values"])
-
-
 def write_gridfunction_csv(f: GridFunction, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

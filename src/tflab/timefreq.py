@@ -471,15 +471,17 @@ def f3_decompose(S, f3: GridFunction, bank: PacketBank,
 # counting-function split
 
 def counting_split(forest: Forest, k: int, params: OsgoodParams, grid: Grid,
-                   *, thr_inf_exp: float = 2.0, thr_one_exp: float = 2.0,
+                   *, thr_inf_exp: float = 2.0,
                    big_c: float = 1.0) -> tuple[Forest, Forest]:
-    """Partition into a bounded-overlap part and an L1-small part.
+    """Partition into a bounded-overlap part and a peeled remainder.
 
     Iterated level-set peeling: the first maximal-dyadic level set of the
     dilated counting function above the threshold 2^(thr_inf_exp k) separates
-    the good trees (dilated tops not inside the set); subsequent re-thresholding
-    peels the remainder into the small part.  Exponents are configurable; the
-    proof values (4k and -100k) are far outside desk scale.
+    the good trees (dilated tops not inside the set); re-thresholding at the
+    same level peels the remainder into the small part.  Only this L-infinity
+    threshold is applied: the L1 norm of the small part is not bounded here
+    (`forest_counting_norms` measures it).  The proof's exponent (4k) is far
+    outside desk scale.
     """
     dilate = 3.0 * params.u(big_c * k)
     peel = 2.0 ** (thr_inf_exp * k)

@@ -1,23 +1,10 @@
 import numpy as np
+import pytest
 
 from tflab import timefreq
-from tflab.cli import main, parse_config
+from tflab.cli import build_parser, main
 from tflab.sampling import (DyadicInterval, Grid, GridFunction,
                             read_gridfunction_csv, write_gridfunction_csv)
-
-
-def test_parse_config(tmp_path):
-    p = tmp_path / "cfg.toml"
-    p.write_text(
-        'theorem = "T1"\n'
-        "grid-n = 4096   # comment\n"
-        "eps = 0.0625\n"
-        "ratios = [0.5, 0.25]\n"
-        "verbose = true\n"
-        "\n")
-    cfg = parse_config(p)
-    assert cfg == {"theorem": "T1", "grid_n": 4096, "eps": 0.0625,
-                   "ratios": [0.5, 0.25], "verbose": True}
 
 
 def test_cli_ingham(capsys):
@@ -44,9 +31,36 @@ def test_cli_sweep_emits_reports(tmp_path, capsys):
 
 
 def test_cli_config_overrides(tmp_path):
-    cfg = tmp_path / "c.toml"
-    cfg.write_text("cases = 2\nseed = 9\n")
-    assert main(["--config", str(cfg), "tree-suite"]) == 0
+    # a flags file seeds the run; a flag after it wins
+    flags = tmp_path / "flags.txt"
+    flags.write_text("--cases=2\n--seed=9\n")
+    assert main(["tree-suite", f"@{flags}"]) == 0
+    flags.write_text("--grid-n=4096\n--eps=0.125\n")
+    args = build_parser().parse_args(["sweep", f"@{flags}", "--grid-n", "2048"])
+    assert (args.grid_n, args.eps) == (2048, 0.125)
+
+
+@pytest.mark.parametrize("line", ["--set-family=bogus", "--grid-n=4096.5",
+                                  "--ratios=0.5x"])
+def test_cli_flags_file_usage_error(tmp_path, capsys, line):
+    # file values pass through each option's own type and choice checks
+    flags = tmp_path / "flags.txt"
+    flags.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", f"@{flags}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage: tflab sweep" in err and "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--ratios", "0.5", "nan"],
+                                  ["--ratios", "inf", "0.5"],
+                                  ["--ratios", "0.5", "--eps", "0"]])
+def test_cli_bad_sweep_config(capsys, argv):
+    assert main(["sweep", *argv, "--grid-n", "4096"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_oracle_roundtrip(tmp_path):

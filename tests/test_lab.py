@@ -33,6 +33,17 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(alpha=(1.5, 0.0, -0.5))
     assert SweepConfig(theorem="C15").resolved_alpha() == (0.75, 0.75, -0.5)
+    assert SweepConfig(eps=1.0).eps == 1.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ratios": (0.5, math.nan)}, {"ratios": (math.nan,)},
+    {"ratios": (math.inf, 0.5)}, {"ratios": (0.5, -math.inf)},
+    {"eps": 0.0}, {"eps": -0.25}, {"eps": 2.0}, {"eps": math.nan},
+])
+def test_sweep_config_rejects_nonfinite_ratios_and_bad_eps(kwargs):
+    with pytest.raises(ValueError):
+        SweepConfig(**kwargs)
 
 
 def test_cantor_intervals():

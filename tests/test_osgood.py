@@ -172,12 +172,23 @@ def test_real_window_tail_is_faster_than_claimed(table):
     assert rep.passed
 
 
-def test_table_cache_roundtrip(tmp_path, table):
-    from tflab.osgood import load_table, save_table
-    path = tmp_path / "table.npz"
-    save_table(table, path)
-    back = load_table(path)
-    assert back.k_max == table.k_max
-    assert np.array_equal(back.upsilon.values, table.upsilon.values)
-    assert np.array_equal(back.v0_mass, table.v0_mass)
-    assert back.spectrum_at(0.1) == table.spectrum_at(0.1)
+def test_spectrum_at_matches_per_call_edges(table):
+    # the edge array is built once per table; values equal the per-call formula
+    def per_call(t, xi):
+        edges = t.v0_x0 + t.v0_h * np.arange(t.v0_mass.size)
+        return (np.interp(3 * xi + 1.5, edges, t.v0_mass)
+                - np.interp(3 * xi - 0.5, edges, t.v0_mass))
+
+    rng = np.random.default_rng(3)
+    edges = table.v0_x0 + table.v0_h * np.arange(table.v0_mass.size)
+    on_edges = np.concatenate([(edges[::97] - 1.5) / 3, (edges[::89] + 0.5) / 3,
+                               [-0.5, -1 / 6, 0.0, 1 / 6, 0.5]])
+    for xi in (rng.uniform(-1.0, 1.0, 4001), rng.uniform(-40.0, 40.0, 501),
+               np.array([-3.0, -1.0, 1.0, 3.0, 1e6]), on_edges):
+        assert np.array_equal(table.spectrum_at(xi), per_call(table, xi))
+    assert table.spectrum_at(0.1) == per_call(table, 0.1)
+    # a replaced table builds its own edges
+    import dataclasses
+    t2 = dataclasses.replace(table, v0_x0=table.v0_x0 + 0.25)
+    assert np.array_equal(t2.spectrum_at(on_edges), per_call(t2, on_edges))
+    assert not np.array_equal(t2.spectrum_at(on_edges), table.spectrum_at(on_edges))

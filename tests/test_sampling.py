@@ -352,15 +352,3 @@ def test_csv_errors(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_gridfunction_csv(p)
-
-
-def test_gridfunction_binary_cache(tmp_path):
-    from tflab.sampling import load_gridfunction, save_gridfunction
-    g = Grid(-2.0, 2.0, 32)
-    rng = np.random.default_rng(8)
-    f = GridFunction(g, rng.normal(size=32) + 1j * rng.normal(size=32))
-    path = tmp_path / "f.npz"
-    save_gridfunction(f, path)
-    back = load_gridfunction(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
