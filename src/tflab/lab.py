@@ -174,6 +174,33 @@ def _bound_rhs(cfg: SweepConfig, f1n: float, f2n: float, f2_measure: float,
     return prod * corr
 
 
+#: bins of slack on each side of a prune window (rounding at its ends)
+_PRUNE_PAD = 2
+
+
+def band_energy(freqs: np.ndarray, power: np.ndarray, xi: float,
+                radius: float) -> float:
+    """power summed over the bins with |freqs - xi| <= radius.
+
+    freqs is a DFT lattice in fftfreq order: an ascending run of the
+    nonnegative frequencies, then one of the negative frequencies.  Each run
+    is searched for the band, padded by _PRUNE_PAD bins against rounding at
+    its ends, and the predicate runs only inside that window.  The survivors
+    of the two runs, taken in index order, are the elements a full-length
+    boolean mask selects, so the sum is the mask's sum bit for bit.
+    """
+    pad = _PRUNE_PAD * -freqs[-1]  # fftfreq ends one bin below zero
+    bounds = (xi - radius - pad, xi + radius + pad)
+    half = (freqs.size + 1) // 2
+    parts = []
+    for start, run in ((0, freqs[:half]), (half, freqs[half:])):
+        lo, hi = run.searchsorted(bounds)
+        if lo < hi:
+            inside = np.abs(run[lo:hi] - xi) <= radius
+            parts.append(power[start + lo:start + hi][inside])
+    return float(np.concatenate(parts).sum()) if parts else 0.0
+
+
 class _LatticeEngine:
     """Translation-batched model-sum evaluator over a frequency-column lattice."""
 
@@ -206,8 +233,8 @@ class _LatticeEngine:
             idx = np.arange(lo, hi + 1, step) % grid.n
             for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
                 xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
-                band = np.abs(freqs - xi[0]) <= cfg.eps / s
-                if total <= 0 or float(power[band].sum()) / total < 1e-12:
+                if (total <= 0 or band_energy(freqs, power, xi[0], cfg.eps / s)
+                        / total < 1e-12):
                     continue
                 g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, self.table)
                 g2 = coefficient_profile(fh2, grid, s, xi[1], cfg.eps, self.table)

@@ -11,6 +11,7 @@ import numpy as np
 
 from tflab.errors import ResolutionError
 from tflab.lab import random_collection, random_signal
+from tflab.modelsum import bht_direct
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (DyadicInterval, Grid, GridFunction, _sliding_max,
                             dyadic_cover, grid_dyadic_scales, lp_norm)
@@ -137,6 +138,26 @@ def synthesis_profile_full(weights, grid: Grid, scale: float, xi: float,
         return None
     hat /= math.sqrt(norm2)
     return np.fft.ifft(np.fft.fft(weights) * hat) * (grid.n / grid.length)
+
+
+# the direct oracle on the whole grid, then paired with f3; and the engine's
+# prune test with one full-length band mask per column
+
+def lambda_direct_full(f1: GridFunction, f2: GridFunction, f3: GridFunction,
+                       beta, h_cut=None, t_max=None) -> complex:
+    beta = np.asarray(beta, dtype=float)
+    grid = f1.grid
+    if h_cut is None:
+        h_cut = grid.spacing
+    b = (beta[0] - beta[2], beta[1] - beta[2])
+    bh = bht_direct(f1, f2, b, h_cut, t_max)
+    return complex((bh.values * f3.values).sum() * grid.spacing)
+
+
+def band_energy_mask(freqs: np.ndarray, power: np.ndarray, xi: float,
+                     radius: float) -> float:
+    band = np.abs(freqs - xi) <= radius
+    return float(power[band].sum())
 
 
 # size-lemma selection with a packet cache: every size evaluation and every

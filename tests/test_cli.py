@@ -91,9 +91,19 @@ def test_cli_mfcz(tmp_path, grid, params):
     assert code == 0
 
 
-def test_cli_error_exit(tmp_path):
+def test_cli_error_exit(tmp_path, capsys):
     assert main(["oracle", "--f1", "missing.csv", "--f2", "missing.csv",
                  "--out", str(tmp_path / "o.csv")]) == 1
+    # signals on two grids of one size: a GridMismatchError, not a traceback
+    p1, p2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
+    for path, x0 in ((p1, -8.0), (p2, -4.0)):
+        g = Grid(x0, x0 + 16.0, 2 ** 6)
+        write_gridfunction_csv(GridFunction(g, np.exp(-g.xs() ** 2) + 0j), path)
+    capsys.readouterr()
+    assert main(["oracle", "--f1", str(p1), "--f2", str(p2),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_threshold_doubling_failure(monkeypatch, capsys):

@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tflab.lab import (FIELDS, SweepConfig, SweepRow, cantor_intervals,
-                       emit_report, fit_growth, in_hexagon, run_sweep,
-                       run_tree_suite, star, suite_direction)
+from reference import band_energy_mask
+from tflab.lab import (FIELDS, SweepConfig, SweepRow, _LatticeEngine,
+                       band_energy, cantor_intervals, emit_report, fit_growth,
+                       in_hexagon, run_sweep, run_tree_suite, star,
+                       suite_direction)
+from tflab.sampling import Grid
 
 
 def rows_from(deltas, ratios):
@@ -203,3 +208,58 @@ def test_tree_suite_runs():
     rep = run_tree_suite(3, 5)
     assert rep.passed
     assert rep.stats["cases"] == 5
+
+
+# ---------------------------------------------------------------------------
+# windowed band-energy prune against the full-length mask
+
+@st.composite
+def prune_draws(draw):
+    """A spectrum with its energy on the edges of a band, near the threshold."""
+    n = 2 ** draw(st.integers(1, 12))
+    length = draw(st.sampled_from([32.0, 27.0, 8.0, 3.0]))
+    grid = Grid(-length / 2, length / 2, n)
+    # bands inside the lattice, across zero and past either end of it
+    k = draw(st.integers(-n, n))
+    m = draw(st.integers(0, n // 2 + 1))
+    xi = (k + draw(st.sampled_from([0.0, 0.5, 1e-13, -1e-13]))) / length
+    radius = m / length
+    radius = draw(st.sampled_from([radius, math.nextafter(radius, 0.0),
+                                   math.nextafter(radius, math.inf)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    power = rng.random(n) * 10.0 ** -draw(st.integers(0, 16))
+    freqs = grid.freqs()
+    edge = np.flatnonzero(np.abs(np.abs(freqs - xi) - radius) <= 1.5 / length)
+    # threshold-sized energy on the edge bins, the bulk far from the band
+    power[edge] = rng.random(edge.size) * 10.0 ** -draw(st.integers(10, 14))
+    power[np.argmax(np.abs(freqs - xi))] += 1.0
+    return grid, power, xi, radius
+
+
+@settings(max_examples=400, deadline=None)
+@given(prune_draws())
+def test_band_energy_window_matches_mask(draw):
+    grid, power, xi, radius = draw
+    got = band_energy(grid.freqs(), power, xi, radius)
+    want = band_energy_mask(grid.freqs(), power, xi, radius)
+    assert got == want
+    total = float(power.sum())
+    assert (got / total < 1e-12) == (want / total < 1e-12)
+
+
+def test_engine_prune_decisions_match_mask():
+    # every column of a T1-shaped lattice: the same sums, so the same prunes
+    grid = Grid(-16.0, 16.0, 2 ** 12)
+    cfg = SweepConfig(grid_n=grid.n)
+    engine = _LatticeEngine(cfg, grid, table=None)
+    xs = grid.xs()
+    power = np.abs(np.fft.fft(np.exp(-(xs / 4.0) ** 2))) ** 2
+    freqs = grid.freqs()
+    pruned = 0
+    for s in engine.scales:
+        for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
+            xi = (engine.gamma[0] * mxi + engine.beta[0]) / s
+            got = band_energy(freqs, power, xi, cfg.eps / s)
+            assert got == band_energy_mask(freqs, power, xi, cfg.eps / s)
+            pruned += got / float(power.sum()) < 1e-12
+    assert 0 < pruned < len(engine.scales) * (2 * cfg.m_xi_max + 1)

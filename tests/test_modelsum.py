@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tflab.errors import DegeneracyError
+from reference import lambda_direct_full
+from tflab import modelsum
+from tflab.errors import DegeneracyError, GridMismatchError
 from tflab.modelsum import (bht_direct, coefficient_profile,
                             dilate_band_limited, lambda_direct, model_sum,
                             rescale_check, rescale_tritile, synthesis_profile)
@@ -131,6 +136,23 @@ def test_dilate_band_limited_exact(table_fine, wide_grid):
     assert np.abs(back.values - pk.values)[quarter].max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 12), st.integers(1, 3), st.floats(-0.5, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_dilate_band_limited_round_trip(log2n, q, expo, seed):
+    # stretch by 2^q, then decimate by 2^-q: f comes back on the central
+    # samples, the ones the decimation reads without wrapping round the torus
+    n = 2 ** log2n
+    grid = Grid(-8.0, 8.0, n)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+    mu = 2.0 ** q
+    back = dilate_band_limited(dilate_band_limited(f, mu, expo), 1.0 / mu, expo)
+    central = slice(n // 2 - n // (2 * 2 ** q), n // 2 + n // (2 * 2 ** q))
+    err = np.abs(back.values - f.values)[central].max()
+    assert err <= 1e-12 * np.abs(f.values).max()
+
+
 def test_scale_invariance(tritile, table_fine, wide_grid, wide_bank):
     f1, f2, f3 = packet_inputs(tritile, table_fine, wide_grid)
     alpha = (0.25, 0.5, 0.25)
@@ -222,10 +244,7 @@ def test_lambda_direct_duality():
     f3 = GridFunction(g, np.exp(-((xs - 0.5) / 2) ** 2) + 0j)
     beta = np.asarray(BETA)
     lam = lambda_direct(f1, f2, f3, beta)
-    b = (beta[0] - beta[2], beta[1] - beta[2])
-    bh = bht_direct(f1, f2, b, g.spacing)
-    ref = complex((bh.values * f3.values).sum() * g.spacing)
-    assert lam == pytest.approx(ref, rel=1e-9)
+    assert lam == pytest.approx(lambda_direct_full(f1, f2, f3, beta), rel=1e-9)
     z = GridFunction(g, np.zeros(g.n, complex))
     assert lambda_direct(z, f2, f3, beta) == 0
 
@@ -243,6 +262,87 @@ def test_lambda_direct_permutation_symmetry():
     b = lambda_direct(f2, f1, f3, beta[[1, 0, 2]], t_max=8.0)
     scale = max(abs(a), 1e-12)
     assert abs(a - b) / scale <= 2e-3
+
+
+@st.composite
+def oracle_draws(draw):
+    """Inputs of lambda_direct with the quadrature's edge cases drawn on purpose."""
+    n = 2 ** draw(st.integers(4, 8))
+    x0 = draw(st.sampled_from([-4.0, -3.0, 0.0]))
+    grid = Grid(x0, x0 + draw(st.sampled_from([8.0, 6.0, 27.0])), n)
+    dt = grid.spacing
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def signal(complex_valued: bool) -> GridFunction:
+        v = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_valued else 0j)
+        return GridFunction(grid, v)
+
+    f1 = signal(draw(st.booleans()))
+    f2 = signal(draw(st.booleans()))
+    v3 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    support = draw(st.sampled_from(["scattered", "empty", "single", "full"]))
+    if support == "scattered":
+        v3[rng.random(n) < draw(st.floats(0.05, 0.95))] = 0
+    elif support == "empty":
+        v3[:] = 0
+    elif support == "single":
+        keep = draw(st.integers(0, n - 1))
+        v3[np.arange(n) != keep] = 0
+    f3 = GridFunction(grid, v3)
+    # b = (beta1 - beta3, beta2 - beta3): a zero or negative component by choice
+    b = [draw(st.sampled_from([0.0, -1.0, 0.5, -0.3, 2.0])) for _ in range(2)]
+    beta3 = draw(st.floats(-1.0, 1.0))
+    beta = (b[0] + beta3, b[1] + beta3, beta3)
+    h_cut = draw(st.sampled_from([None, dt, 1.7 * dt, 3.5 * dt]))
+    t_max = draw(st.sampled_from(["default", "on", "below", "above", "random"]))
+    if t_max == "default":
+        t_max = None
+    elif t_max == "random":
+        t_max = draw(st.floats(0.0, grid.length))
+    else:
+        on = (draw(st.integers(0, n // 2)) + 0.5) * dt
+        t_max = {"on": on, "below": math.nextafter(on, -math.inf),
+                 "above": math.nextafter(on, math.inf)}[t_max]
+    # small caps split the offsets into many blocks, the last one partial
+    cap = draw(st.sampled_from([1, 5, 64, modelsum._ORACLE_BLOCK]))
+    return f1, f2, f3, beta, h_cut, t_max, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_draws())
+def test_lambda_direct_matches_full_grid_pairing(draw):
+    f1, f2, f3, beta, h_cut, t_max, cap = draw
+    with mock.patch.object(modelsum, "_ORACLE_BLOCK", cap):
+        got = lambda_direct(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
+    want = lambda_direct_full(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
+    if want != 0:
+        assert abs(got - want) <= 1e-12 * abs(want)
+    else:
+        scale = (np.abs(f1.values).max() * np.abs(f2.values).max()
+                 * np.abs(f3.values).sum() * f3.grid.spacing)
+        assert abs(got) <= 1e-12 * scale
+
+
+def test_lambda_direct_input_checks():
+    g = Grid(-8.0, 8.0, 2 ** 8)
+    other = Grid(-4.0, 12.0, 2 ** 8)   # same size, another domain
+    xs = g.xs()
+    f = GridFunction(g, np.exp(-xs ** 2) + 0j)
+    zero = GridFunction(g, np.zeros(g.n, complex))
+    with pytest.raises(GridMismatchError):
+        lambda_direct(f, f, GridFunction(other, f.values), BETA)
+    with pytest.raises(GridMismatchError):
+        lambda_direct(f, f, GridFunction(other, zero.values), BETA)
+    with pytest.raises(GridMismatchError):
+        lambda_direct(f, GridFunction(other, f.values), f, BETA)
+    with pytest.raises(GridMismatchError):
+        bht_direct(f, GridFunction(other, f.values), (1.0, 0.5), g.spacing)
+    # an empty f3 does not hide a cutoff below the grid spacing
+    with pytest.raises(ValueError):
+        lambda_direct(f, f, zero, BETA, h_cut=g.spacing / 4)
+    with pytest.raises(ValueError):
+        lambda_direct(f, f, zero, BETA, t_max=math.inf)
+    assert lambda_direct(f, f, zero, BETA) == 0
 
 
 # ---------------------------------------------------------------------------
