@@ -98,7 +98,7 @@ def _cmd_sweep(args) -> int:
         set_family=args.set_family,
         ratios=tuple(args.ratios) if args.ratios
         else tuple(2.0 ** -j for j in range(1, args.dyadic + 1)),
-        grid_n=args.grid_n, eps=args.eps, seed=args.seed)
+        grid_n=args.grid_n, eps=args.eps)
     rows = lab.run_sweep(cfg)
     fits = {}
     try:
@@ -121,8 +121,7 @@ def _cmd_oracle(args) -> int:
     from .modelsum import bht_direct
     f1 = read_gridfunction_csv(args.f1)
     f2 = read_gridfunction_csv(args.f2)
-    out = bht_direct(f1, f2, (args.b1, args.b2),
-                     args.h_cut or f1.grid.spacing)
+    out = bht_direct(f1, f2, (args.b1, args.b2), args.h_cut)
     write_gridfunction_csv(out, args.out)
     print(f"oracle output -> {args.out}")
     return 0
@@ -172,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use ratios 2^-1 .. 2^-N")
     p.add_argument("--grid-n", type=int, default=2 ** 15)
     p.add_argument("--eps", type=float, default=2.0 ** -4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-csv")
     p.add_argument("--out-svg")
     p.set_defaults(func=_cmd_sweep)
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f2", required=True)
     p.add_argument("--b1", type=float, default=1.0)
     p.add_argument("--b2", type=float, default=0.0)
-    p.add_argument("--h-cut", type=float, default=None)
+    p.add_argument("--h-cut", type=float, help="default: the grid spacing")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
     return ap

@@ -303,6 +303,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 # growth fits
 
+#: regressor of each one-constant growth law y = c * regressor(delta)
+GROWTH_REGRESSORS = {
+    "log": lambda d: np.log(math.e + 1.0 / d),
+    "loglog": lambda d: np.log(np.log(math.e ** math.e + 1.0 / d)),
+}
+
+
 def fit_growth(rows, model: str, min_exponent: float | None = None
                ) -> tuple[float, float]:
     """(coefficient-or-exponent, rms residual) of a one-term growth fit.
@@ -317,10 +324,8 @@ def fit_growth(rows, model: str, min_exponent: float | None = None
         raise ValueError("need at least 4 usable rows")
     d = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    if model == "log":
-        reg = np.log(math.e + 1.0 / d)
-    elif model == "loglog":
-        reg = np.log(np.log(math.e ** math.e + 1.0 / d))
+    if model in GROWTH_REGRESSORS:
+        reg = GROWTH_REGRESSORS[model](d)
     elif model == "power":
         e = float(np.polyfit(np.log(1.0 / d), np.log(np.maximum(y, 1e-300)), 1)[0])
         if min_exponent is not None:
@@ -386,24 +391,19 @@ def _write_svg(rows, fits, path, width=640, height=440) -> None:
              f'<text x="14" y="{height//2}" font-size="12" '
              f'transform="rotate(-90 14 {height//2})" '
              f'text-anchor="middle">log10 ratio</text>']
-    colors = {"log": "#1f77b4", "loglog": "#2ca02c", "power": "#d62728"}
+    colors = {"log": "#1f77b4", "loglog": "#2ca02c"}
     for name, (val, _resid) in fits.items():
+        if name not in GROWTH_REGRESSORS:
+            continue  # the exponent-only power fit has no overlay constant
         pts = []
         for r in rows:
-            if name == "log":
-                yy = val * math.log(math.e + 1 / r.delta)
-            elif name == "loglog":
-                yy = val * math.log(math.log(math.e ** math.e + 1 / r.delta))
-            elif name == "power":
-                continue  # exponent-only fit has no overlay constant
-            else:
-                continue
+            yy = val * float(GROWTH_REGRESSORS[name](r.delta))
             if yy > 0:
                 pts.append(f"{px(math.log10(r.delta)):.2f},"
                            f"{py(math.log10(yy)):.2f}")
         if pts:
             parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                         f'stroke="{colors.get(name, "#888")}" '
+                         f'stroke="{colors[name]}" '
                          f'stroke-width="1.5"/>')
     for r in rows:
         parts.append(f'<circle cx="{px(math.log10(r.delta)):.2f}" '

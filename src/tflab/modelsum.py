@@ -21,17 +21,16 @@ from .timefreq import Tritile, check_well_discretized
 
 
 def model_sum(S, f1: GridFunction, f2: GridFunction, f3: GridFunction,
-              bank: PacketBank, *, check: bool = True,
-              scale_gap: float = 2.0) -> complex:
+              bank: PacketBank, *, check: bool = True) -> complex:
     """Trilinear model sum with canonical packets (trilinear in f1, f2, f3).
 
-    With check=True the collection must be well-discretized; sweep callers
-    suppress the check because a raw lattice is only a finite union of
-    well-discretized families.
+    With check=True the collection must pass `check_well_discretized` at its
+    defaults.  `rescale_check` passes check=False: its scale-invariance
+    identity holds term by term for any collection.
     """
     S = list(S)
     if check:
-        ok, bad = check_well_discretized(S, scale_gap=scale_gap)
+        ok, bad = check_well_discretized(S)
         if not ok:
             raise ValueError(f"collection is not well-discretized: {bad[0]}")
     total = 0.0 + 0.0j
@@ -103,45 +102,76 @@ def rescale_check(S, f1: GridFunction, f2: GridFunction, f3: GridFunction,
 # ---------------------------------------------------------------------------
 # direct principal-value oracle
 
-#: sample points per offset block of `lambda_direct` (offsets x support)
+#: sample points per offset block of the oracle (offsets x sample points)
 _ORACLE_BLOCK = 2 ** 13
 
 
-def bht_direct(f1: GridFunction, f2: GridFunction, b: tuple[float, float],
-               h_cut: float, t_max: float | None = None) -> GridFunction:
-    """Symmetric p.v. quadrature of the bilinear singular integral.
+def _oracle_cutoffs(fs, h_cut: float | None,
+                    t_max: float | None) -> tuple[float, float]:
+    """(h_cut, t_max) with their defaults dt and L/2, after the one check.
 
-    Offsets are sampled at half-spaced lattice points t = (i + 1/2) dt with
-    dt the grid spacing, each +t paired with -t before accumulation (the odd
-    kernel cancels even integrands exactly); signals are linearly interpolated
-    off-grid and treated as zero outside the domain.
+    fs must share one grid; both cutoffs must be finite, and h_cut >= dt.
+    """
+    for f in fs[1:]:
+        _same_grid(fs[0], f)
+    grid = fs[0].grid
+    h_cut = grid.spacing if h_cut is None else h_cut
+    t_max = grid.length / 2 if t_max is None else t_max
+    if not (math.isfinite(h_cut) and h_cut >= grid.spacing):
+        raise ValueError(f"h_cut must be finite and at least the grid "
+                         f"spacing {grid.spacing:g}, got {h_cut}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
+    return h_cut, t_max
+
+
+def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
+            idx: np.ndarray) -> np.ndarray:
+    """BHT_b(f1, f2) at the grid samples idx, by symmetric p.v. quadrature.
+
+    Offsets t = (i + 1/2) dt run from the first at or beyond h_cut to the last
+    at or below t_max; each +t is paired with -t (the odd kernel cancels even
+    integrands exactly).  Signals are linearly interpolated, zero outside the
+    domain.  Offsets go in blocks of at most _ORACLE_BLOCK sample points, one
+    2-D interpolation per block, and are summed one at a time in ascending
+    order, so a sample's value depends neither on idx nor on the block size.
     """
     grid = f1.grid
-    _same_grid(f1, f2)
     dt = grid.spacing
-    if h_cut < dt:
-        raise ValueError("h_cut must be at least the grid spacing")
-    if t_max is None:
-        t_max = grid.length / 2
     xs = grid.xs()
+    pts = xs[idx]
 
-    def sample(f: GridFunction, pts: np.ndarray) -> np.ndarray:
-        re = np.interp(pts, xs, f.values.real, left=0.0, right=0.0)
-        im = np.interp(pts, xs, f.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
+    def sample(f: GridFunction, at: np.ndarray) -> np.ndarray:
+        z = 1j * np.interp(at, xs, f.values.imag, left=0.0, right=0.0)
+        z += np.interp(at, xs, f.values.real, left=0.0, right=0.0)
+        return z
 
     i0 = int(math.ceil(h_cut / dt - 0.5))
-    out = np.zeros(grid.n, dtype=complex)
-    i = i0
-    while True:
-        t = (i + 0.5) * dt
-        if t > t_max:
-            break
-        plus = sample(f1, xs - b[0] * t) * sample(f2, xs - b[1] * t)
-        minus = sample(f1, xs + b[0] * t) * sample(f2, xs + b[1] * t)
-        out += (plus - minus) * (dt / t)
-        i += 1
-    return GridFunction(grid, out)
+    i1 = i0
+    while (i1 + 0.5) * dt <= t_max:
+        i1 += 1
+    acc = np.zeros(pts.size, dtype=complex)
+    rows = max(1, _ORACLE_BLOCK // pts.size)
+    for lo in range(i0, i1, rows):
+        t = (np.arange(lo, min(lo + rows, i1)) + 0.5)[:, None] * dt
+        plus = sample(f1, pts - b[0] * t) * sample(f2, pts - b[1] * t)
+        minus = sample(f1, pts + b[0] * t) * sample(f2, pts + b[1] * t)
+        # (plus - minus) * (dt / t) in place, with fewer temporaries; not the
+        # products: NumPy rounds an in-place one-element product differently
+        plus -= minus
+        plus *= dt / t
+        for row in plus:
+            acc += row
+    return acc
+
+
+def bht_direct(f1: GridFunction, f2: GridFunction, b: tuple[float, float],
+               h_cut: float | None = None,
+               t_max: float | None = None) -> GridFunction:
+    """BHT_b(f1, f2) on the whole grid (`_bht_on`; cutoffs default to dt, L/2)."""
+    h_cut, t_max = _oracle_cutoffs((f1, f2), h_cut, t_max)
+    return GridFunction(f1.grid, _bht_on(f1, f2, b, h_cut, t_max,
+                                         np.arange(f1.grid.n)))
 
 
 def lambda_direct(f1: GridFunction, f2: GridFunction, f3: GridFunction,
@@ -150,59 +180,19 @@ def lambda_direct(f1: GridFunction, f2: GridFunction, f3: GridFunction,
     """Trilinear form by the direct oracle: <BHT_b(f1, f2), conj f3>.
 
     b = (beta1 - beta3, beta2 - beta3); the pairing integrates BHT * f3.
-    BHT_b is evaluated only on the support of f3 (its nonzero samples), with
-    the quadrature of `bht_direct`: half-spaced offsets t = (i + 1/2) dt from
-    the same first index to the same t_max stop, the same linear sampling.
-    Offsets go in blocks of at most _ORACLE_BLOCK sample points, one 2-D
-    interpolation per block, so memory stays bounded at any support size.
-    The BHT values on the support equal `bht_direct`'s bit for bit (offsets
-    accumulate in the same order), and they are scattered back to full length
-    before the pairing sum, so the result equals the full-grid pairing
-    exactly too.
+    BHT_b is evaluated only on the nonzero samples of f3 and scattered back
+    to full length before the pairing sum, so the result equals the pairing
+    of `bht_direct`'s output bit for bit.
     """
-    grid = f1.grid
-    _same_grid(f1, f2)
-    _same_grid(f1, f3)
-    dt = grid.spacing
-    if h_cut is None:
-        h_cut = dt
-    if h_cut < dt:
-        raise ValueError("h_cut must be at least the grid spacing")
-    if t_max is None:
-        t_max = grid.length / 2
-    if not math.isfinite(t_max):
-        raise ValueError("t_max must be finite")
+    h_cut, t_max = _oracle_cutoffs((f1, f2, f3), h_cut, t_max)
     beta = np.asarray(beta, dtype=float)
     b = (beta[0] - beta[2], beta[1] - beta[2])
     sup = np.flatnonzero(f3.values)
     if sup.size == 0:
         return 0j
-    xs = grid.xs()
-    pts = xs[sup]
-
-    def sample(f: GridFunction, at: np.ndarray) -> np.ndarray:
-        re = np.interp(at, xs, f.values.real, left=0.0, right=0.0)
-        im = np.interp(at, xs, f.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    # offsets i0, i0 + 1, ... up to the first t = (i + 1/2) dt beyond t_max
-    i0 = int(math.ceil(h_cut / dt - 0.5))
-    i1 = i0
-    while (i1 + 0.5) * dt <= t_max:
-        i1 += 1
-    acc = np.zeros(sup.size, dtype=complex)
-    rows = max(1, _ORACLE_BLOCK // sup.size)
-    for lo in range(i0, i1, rows):
-        t = (np.arange(lo, min(lo + rows, i1)) + 0.5)[:, None] * dt
-        plus = sample(f1, pts - b[0] * t) * sample(f2, pts - b[1] * t)
-        minus = sample(f1, pts + b[0] * t) * sample(f2, pts + b[1] * t)
-        terms = (plus - minus) * (dt / t)
-        # running sum down the offsets: the order of bht_direct's loop
-        terms[0] += acc
-        acc = np.add.accumulate(terms, axis=0)[-1]
-    pair = np.zeros(grid.n, dtype=complex)
-    pair[sup] = acc * f3.values[sup]
-    return complex(pair.sum() * dt)
+    pair = np.zeros(f3.grid.n, dtype=complex)
+    pair[sup] = _bht_on(f1, f2, b, h_cut, t_max, sup) * f3.values[sup]
+    return complex(pair.sum() * f3.grid.spacing)
 
 
 # ---------------------------------------------------------------------------

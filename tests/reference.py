@@ -11,7 +11,6 @@ import numpy as np
 
 from tflab.errors import ResolutionError
 from tflab.lab import random_collection, random_signal
-from tflab.modelsum import bht_direct
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (DyadicInterval, Grid, GridFunction, _sliding_max,
                             dyadic_cover, grid_dyadic_scales, lp_norm)
@@ -140,8 +139,35 @@ def synthesis_profile_full(weights, grid: Grid, scale: float, xi: float,
     return np.fft.ifft(np.fft.fft(weights) * hat) * (grid.n / grid.length)
 
 
-# the direct oracle on the whole grid, then paired with f3; and the engine's
-# prune test with one full-length band mask per column
+# the direct oracle one offset at a time on the whole grid, then paired with
+# f3; and the engine's prune test with one full-length band mask per column
+
+def bht_direct_loop(f1: GridFunction, f2: GridFunction, b, h_cut: float,
+                    t_max: float | None = None) -> GridFunction:
+    grid = f1.grid
+    dt = grid.spacing
+    if t_max is None:
+        t_max = grid.length / 2
+    xs = grid.xs()
+
+    def sample(f: GridFunction, pts: np.ndarray) -> np.ndarray:
+        re = np.interp(pts, xs, f.values.real, left=0.0, right=0.0)
+        im = np.interp(pts, xs, f.values.imag, left=0.0, right=0.0)
+        return re + 1j * im
+
+    i0 = int(math.ceil(h_cut / dt - 0.5))
+    out = np.zeros(grid.n, dtype=complex)
+    i = i0
+    while True:
+        t = (i + 0.5) * dt
+        if t > t_max:
+            break
+        plus = sample(f1, xs - b[0] * t) * sample(f2, xs - b[1] * t)
+        minus = sample(f1, xs + b[0] * t) * sample(f2, xs + b[1] * t)
+        out += (plus - minus) * (dt / t)
+        i += 1
+    return GridFunction(grid, out)
+
 
 def lambda_direct_full(f1: GridFunction, f2: GridFunction, f3: GridFunction,
                        beta, h_cut=None, t_max=None) -> complex:
@@ -150,7 +176,7 @@ def lambda_direct_full(f1: GridFunction, f2: GridFunction, f3: GridFunction,
     if h_cut is None:
         h_cut = grid.spacing
     b = (beta[0] - beta[2], beta[1] - beta[2])
-    bh = bht_direct(f1, f2, b, h_cut, t_max)
+    bh = bht_direct_loop(f1, f2, b, h_cut, t_max)
     return complex((bh.values * f3.values).sum() * grid.spacing)
 
 

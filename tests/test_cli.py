@@ -78,6 +78,29 @@ def test_cli_oracle_roundtrip(tmp_path):
     assert res.grid == g
 
 
+@pytest.mark.parametrize("h_cut", ["inf", "nan", "0"])
+def test_cli_oracle_bad_h_cut(tmp_path, capsys, h_cut):
+    # a cutoff that is not finite or is below the grid spacing is an error,
+    # never replaced by the default
+    g = Grid(-8.0, 8.0, 2 ** 6)
+    sig = tmp_path / "f.csv"
+    write_gridfunction_csv(GridFunction(g, np.exp(-g.xs() ** 2) + 0j), sig)
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--f1", str(sig), "--f2", str(sig),
+                 "--h-cut", h_cut, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: h_cut") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_sweep_has_no_seed(capsys):
+    # the sweep is deterministic; a --seed flag would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_cli_mfcz(tmp_path, grid, params):
     rng = np.random.default_rng(0)
     from conftest import mfcz_case

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import lambda_direct_full
+from reference import bht_direct_loop, lambda_direct_full
 from tflab import modelsum
 from tflab.errors import DegeneracyError, GridMismatchError
 from tflab.modelsum import (bht_direct, coefficient_profile,
@@ -266,8 +266,8 @@ def test_lambda_direct_permutation_symmetry():
 
 @st.composite
 def oracle_draws(draw):
-    """Inputs of lambda_direct with the quadrature's edge cases drawn on purpose."""
-    n = 2 ** draw(st.integers(4, 8))
+    """Oracle inputs with the quadrature's edge cases drawn on purpose."""
+    n = 2 ** draw(st.integers(4, 11))
     x0 = draw(st.sampled_from([-4.0, -3.0, 0.0]))
     grid = Grid(x0, x0 + draw(st.sampled_from([8.0, 6.0, 27.0])), n)
     dt = grid.spacing
@@ -308,19 +308,26 @@ def oracle_draws(draw):
     return f1, f2, f3, beta, h_cut, t_max, cap
 
 
+@settings(max_examples=200, deadline=None)
+@given(oracle_draws())
+def test_bht_direct_matches_loop(draw):
+    f1, f2, _f3, beta, h_cut, t_max, cap = draw
+    b = (beta[0] - beta[2], beta[1] - beta[2])
+    with mock.patch.object(modelsum, "_ORACLE_BLOCK", cap):
+        got = bht_direct(f1, f2, b, h_cut, t_max)
+    want = bht_direct_loop(f1, f2, b, f1.grid.spacing if h_cut is None else h_cut,
+                           t_max)
+    assert got.grid == want.grid
+    assert np.array_equal(got.values, want.values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracle_draws())
 def test_lambda_direct_matches_full_grid_pairing(draw):
     f1, f2, f3, beta, h_cut, t_max, cap = draw
     with mock.patch.object(modelsum, "_ORACLE_BLOCK", cap):
         got = lambda_direct(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
-    want = lambda_direct_full(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
-    if want != 0:
-        assert abs(got - want) <= 1e-12 * abs(want)
-    else:
-        scale = (np.abs(f1.values).max() * np.abs(f2.values).max()
-                 * np.abs(f3.values).sum() * f3.grid.spacing)
-        assert abs(got) <= 1e-12 * scale
+    assert got == lambda_direct_full(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
 
 
 def test_lambda_direct_input_checks():
@@ -343,6 +350,20 @@ def test_lambda_direct_input_checks():
     with pytest.raises(ValueError):
         lambda_direct(f, f, zero, BETA, t_max=math.inf)
     assert lambda_direct(f, f, zero, BETA) == 0
+
+
+@pytest.mark.parametrize("h_cut, t_max", [(1.0, math.nan), (1.0, math.inf),
+                                          (math.inf, None), (math.nan, None)])
+def test_oracle_rejects_bad_cutoffs(h_cut, t_max):
+    # both oracle entry points reject a non-finite cutoff with a ValueError
+    # that names it, before any offset is counted (h_cut in grid spacings)
+    g = Grid(-8.0, 8.0, 2 ** 6)
+    f = GridFunction(g, np.exp(-g.xs() ** 2) + 0j)
+    h_cut *= g.spacing
+    with pytest.raises(ValueError, match="h_cut|t_max"):
+        bht_direct(f, f, (1.0, 0.5), h_cut, t_max)
+    with pytest.raises(ValueError, match="h_cut|t_max"):
+        lambda_direct(f, f, f, BETA, h_cut=h_cut, t_max=t_max)
 
 
 # ---------------------------------------------------------------------------
