@@ -35,6 +35,13 @@ def _parse_tops(spec: str) -> list[TopDatum]:
     return tops
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _cmd_ingham(args) -> int:
     params = OsgoodParams(args.lam)
     table = build_ingham(params, k_max=args.kmax, grid_n=args.grid_n,
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree-suite", help="randomized tree/forest audits")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=nonnegative_int, default=25)
     p.set_defaults(func=_cmd_tree_suite)
 
     p = sub.add_parser("sweep", help="endpoint growth-law sweep")

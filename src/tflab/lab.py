@@ -2,12 +2,12 @@
 
 A sweep builds indicator families at a list of measure ratios, restricts the
 third function to the major subset produced by the exceptional-set machinery,
-evaluates the model sum over a frequency-column lattice of dyadic scales (one
-FFT per scale/column/slot via the translation-batched engine), and records the
-ratio of the measured form to the target growth law with constant one.  The
-direct principal-value oracle runs alongside as a trend cross-check; the two
-evaluators are bridged by an averaging identity with unknown constants, so
-only trends are compared.
+evaluates the model sum over a frequency-column lattice of dyadic scales (the
+translation-batched engine: slot-3 spectra summed, one inverse FFT per row),
+and records the ratio of the measured form to the target growth law with
+constant one.  The direct principal-value oracle runs alongside as a trend
+cross-check; the two evaluators are bridged by an averaging identity with
+unknown constants, so only trends are compared.
 """
 
 from __future__ import annotations
@@ -76,8 +76,15 @@ class SweepConfig:
             raise ValueError("ratios must be finite, positive and strictly decreasing")
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.resolved_alpha() is not None and not in_hexagon(self.resolved_alpha()):
+        a1, a2, _ = alpha = self.resolved_alpha()
+        if not in_hexagon(alpha):
             raise ValueError("alpha outside the admissible hexagon")
+        # the T2/T3/C15 families and bounds divide by a1 and 1 - a1, and
+        # T2/C15 also by 1 - a2
+        if self.theorem != "T1" and not 0 < a1 < 1:
+            raise ValueError(f"{self.theorem} needs 0 < alpha1 < 1, got {a1}")
+        if self.theorem in ("T2", "C15") and not a2 < 1:
+            raise ValueError(f"{self.theorem} needs alpha2 < 1, got {a2}")
 
     def resolved_alpha(self) -> tuple[float, float, float]:
         if self.alpha is not None:
@@ -225,7 +232,7 @@ class _LatticeEngine:
         freqs = grid.freqs()
         power = np.abs(fh1) ** 2
         total = float(power.sum())
-        w_total = np.zeros(grid.n, dtype=complex)
+        spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
         for s in self.scales:
             step = int(round(s / h))
             lo = int(round((-cfg.pos_extent - grid.x0) / h))
@@ -243,9 +250,9 @@ class _LatticeEngine:
                 weights = np.zeros(grid.n, dtype=complex)
                 weights[idx] = np.conj(g1[idx] * g2[idx]) * s ** -0.5
                 w3 = synthesis_profile(weights, grid, s, xi[2], cfg.eps, self.table)
-                if w3 is None:
-                    continue
-                w_total += w3
+                if w3 is not None:
+                    spectrum += w3
+        w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
         mask = f3_major.indicator(grid).values.real > 0.5
         mag = np.abs(w_total)
         lam = float(mag[mask].sum() * h)
@@ -331,12 +338,11 @@ def fit_growth(rows, model: str, min_exponent: float | None = None
         if min_exponent is not None:
             e = max(e, min_exponent)
         reg = d ** -e
-        c = float((y * reg).sum() / (reg * reg).sum())
-        return e, float(np.sqrt(np.mean((y - c * reg) ** 2)))
     else:
         raise ValueError(f"unknown model {model!r}")
     c = float((y * reg).sum() / (reg * reg).sum())
-    return c, float(np.sqrt(np.mean((y - c * reg) ** 2)))
+    rms = float(np.sqrt(np.mean((y - c * reg) ** 2)))
+    return (e if model == "power" else c), rms
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,12 @@ def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
     Offsets t = (i + 1/2) dt run from the first at or beyond h_cut to the last
     at or below t_max; each +t is paired with -t (the odd kernel cancels even
     integrands exactly).  Signals are linearly interpolated, zero outside the
-    domain.  Offsets go in blocks of at most _ORACLE_BLOCK sample points, one
-    2-D interpolation per block, and are summed one at a time in ascending
-    order, so a sample's value depends neither on idx nor on the block size.
+    domain, so the offsets also end before the first t with max|b_j| t >= L:
+    from there one factor of every term is an exact zero.  At b = 0 the +t
+    and -t terms cancel exactly, and no offset runs.  Offsets go in blocks of
+    at most _ORACLE_BLOCK sample points, one 2-D interpolation per block, and
+    are summed one at a time in ascending order, so a sample's value depends
+    neither on idx nor on the block size.
     """
     grid = f1.grid
     dt = grid.spacing
@@ -146,9 +149,12 @@ def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
         z += np.interp(at, xs, f.values.real, left=0.0, right=0.0)
         return z
 
+    bmax = float(np.abs(b).max())
     i0 = int(math.ceil(h_cut / dt - 0.5))
     i1 = i0
-    while (i1 + 0.5) * dt <= t_max:
+    # a NaN in b makes bmax NaN, and `not >=` runs it to t_max (NaN output)
+    while (bmax != 0 and (i1 + 0.5) * dt <= t_max
+           and not bmax * (i1 + 0.5) * dt >= grid.length):
         i1 += 1
     acc = np.zeros(pts.size, dtype=complex)
     rows = max(1, _ORACLE_BLOCK // pts.size)
@@ -216,9 +222,13 @@ def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
 
 def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi: float,
                       eps: float, table) -> np.ndarray | None:
-    """sum_idx weights[idx] * packet_idx(x) on the grid, via one FFT."""
+    """Spectrum of sum_idx weights[idx] * packet_idx(x), via one FFT.
+
+    The synthesis on the grid is ifft(spectrum) * (n / L); callers sum the
+    spectra of many columns and invert once.  None when unresolvable.
+    """
     try:
         hat = packet_hat(grid, scale, xi, eps, table)
     except ResolutionError:
         return None
-    return np.fft.ifft(np.fft.fft(weights) * hat) * (grid.n / grid.length)
+    return np.fft.fft(weights) * hat

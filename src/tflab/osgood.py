@@ -236,6 +236,8 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
     """
     if grid_n < 16 or grid_n & (grid_n - 1):
         raise ValueError("grid_n must be a power of two >= 16")
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise ValueError(f"x_max must be finite and positive, got {x_max}")
     M = 4 * grid_n
     h0 = 4.0 / M
     widths = _box_widths(params, h0, k_max)

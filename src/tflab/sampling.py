@@ -250,23 +250,6 @@ def dyadic_cover(grid: Grid, scale: int) -> range:
 # ---------------------------------------------------------------------------
 # maximal functions
 
-def _sliding_max(a: np.ndarray, m: int) -> np.ndarray:
-    """out[i] = max(a[max(0, i-m+1) : i+1]) in O(n) (block prefix/suffix maxima)."""
-    n = a.size
-    if m <= 1:
-        return a.copy()
-    pad = (-a.size) % m
-    b = np.concatenate([a, np.full(pad, -np.inf)]).reshape(-1, m)
-    pref = np.maximum.accumulate(b, axis=1).ravel()[:n]
-    suff = np.maximum.accumulate(b[:, ::-1], axis=1)[:, ::-1].ravel()
-    out = pref.copy()
-    idx = np.arange(n)
-    start = idx - m + 1
-    valid = start >= 1
-    np.maximum(out, np.where(valid, suff[np.maximum(start, 0)], -np.inf), out=out)
-    return out
-
-
 def maximal_function(f: GridFunction, p: float) -> GridFunction:
     """Local p-average supremum over the dyadic-lazy interval family.
 
@@ -283,9 +266,13 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
     best = np.full(n, -np.inf)
     m = 1
     while m <= n:
-        avg = (c[m:] - c[:-m]) / m  # window means, start index 0..n-m
-        padded = np.concatenate([avg, np.full(m - 1, -np.inf)]) if m > 1 else avg
-        np.maximum(best, _sliding_max(padded, m), out=best)
+        run = np.full(n, -np.inf)
+        run[:n - m + 1] = (c[m:] - c[:-m]) / m  # window means by start index
+        k = 1
+        while k < m:  # doubling: run[i] becomes the best start in (i - 2k, i]
+            run[k:] = np.maximum(run[k:], run[:-k])
+            k *= 2
+        np.maximum(best, run, out=best)
         m *= 2
     return GridFunction(f.grid, best ** (1.0 / p) + 0j)
 

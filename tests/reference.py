@@ -12,24 +12,51 @@ import numpy as np
 from tflab.errors import ResolutionError
 from tflab.lab import random_collection, random_signal
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
-from tflab.sampling import (DyadicInterval, Grid, GridFunction, _sliding_max,
-                            dyadic_cover, grid_dyadic_scales, lp_norm)
+from tflab.sampling import (DyadicInterval, Grid, GridFunction, dyadic_cover,
+                            grid_dyadic_scales, lp_norm)
 from tflab.timefreq import Forest, Tree, _make_tree, validate_tree
 
 
-def maximal_function_brute(f: GridFunction, p: float) -> GridFunction:
-    """Supremum over ALL grid-aligned windows (O(n^2) time)."""
+def sliding_max_blocks(a: np.ndarray, m: int) -> np.ndarray:
+    """out[i] = max(a[max(0, i-m+1) : i+1]) in O(n) (block prefix/suffix maxima)."""
+    n = a.size
+    if m <= 1:
+        return a.copy()
+    pad = (-a.size) % m
+    b = np.concatenate([a, np.full(pad, -np.inf)]).reshape(-1, m)
+    pref = np.maximum.accumulate(b, axis=1).ravel()[:n]
+    suff = np.maximum.accumulate(b[:, ::-1], axis=1)[:, ::-1].ravel()
+    out = pref.copy()
+    idx = np.arange(n)
+    start = idx - m + 1
+    valid = start >= 1
+    np.maximum(out, np.where(valid, suff[np.maximum(start, 0)], -np.inf), out=out)
+    return out
+
+
+def _maximal_windows(f: GridFunction, p: float, lengths) -> GridFunction:
+    """Supremum of the p-averages over the windows of the given sample counts."""
     if p < 1:
         raise ValueError("p must be >= 1")
     a = np.abs(f.values) ** p
     n = f.grid.n
     c = np.concatenate([[0.0], np.cumsum(a)])
     best = np.full(n, -np.inf)
-    for m in range(1, n + 1):
+    for m in lengths:
         avg = (c[m:] - c[:-m]) / m
         padded = np.concatenate([avg, np.full(m - 1, -np.inf)]) if m > 1 else avg
-        np.maximum(best, _sliding_max(padded, m), out=best)
+        np.maximum(best, sliding_max_blocks(padded, m), out=best)
     return GridFunction(f.grid, best ** (1.0 / p) + 0j)
+
+
+def maximal_function_blocks(f: GridFunction, p: float) -> GridFunction:
+    """The dyadic-lazy maximal function by block prefix/suffix maxima."""
+    return _maximal_windows(f, p, [2 ** j for j in range(f.grid.n.bit_length())])
+
+
+def maximal_function_brute(f: GridFunction, p: float) -> GridFunction:
+    """Supremum over ALL grid-aligned windows (O(n^2) time)."""
+    return _maximal_windows(f, p, range(1, f.grid.n + 1))
 
 
 def cover_count_loop(grid: Grid, bands) -> np.ndarray:
@@ -140,7 +167,8 @@ def synthesis_profile_full(weights, grid: Grid, scale: float, xi: float,
 
 
 # the direct oracle one offset at a time on the whole grid, then paired with
-# f3; and the engine's prune test with one full-length band mask per column
+# f3; the engine's prune test with one full-length band mask per column, and
+# its row with one inverse FFT per column
 
 def bht_direct_loop(f1: GridFunction, f2: GridFunction, b, h_cut: float,
                     t_max: float | None = None) -> GridFunction:
@@ -184,6 +212,50 @@ def band_energy_mask(freqs: np.ndarray, power: np.ndarray, xi: float,
                      radius: float) -> float:
     band = np.abs(freqs - xi) <= radius
     return float(power[band].sum())
+
+
+def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):
+    """The sweep engine's row with space-domain synthesis, one inverse FFT per
+    synthesized column: (lam, aligned f3, slot-3 synthesis, columns synthesized)."""
+    grid, cfg = engine.grid, engine.cfg
+    h = grid.spacing
+    fh1 = np.fft.fft(f1.values)
+    fh2 = np.fft.fft(f2.values)
+    freqs = grid.freqs()
+    power = np.abs(fh1) ** 2
+    total = float(power.sum())
+    w_total = np.zeros(grid.n, dtype=complex)
+    synthesized = 0
+    for s in engine.scales:
+        step = int(round(s / h))
+        lo = int(round((-cfg.pos_extent - grid.x0) / h))
+        hi = int(round((cfg.pos_extent - grid.x0) / h))
+        idx = np.arange(lo, hi + 1, step) % grid.n
+        for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
+            xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
+            if (total <= 0 or band_energy_mask(freqs, power, xi[0], cfg.eps / s)
+                    / total < 1e-12):
+                continue
+            g1 = coefficient_profile_full(fh1, grid, s, xi[0], cfg.eps, engine.table)
+            g2 = coefficient_profile_full(fh2, grid, s, xi[1], cfg.eps, engine.table)
+            if g1 is None or g2 is None:
+                continue
+            weights = np.zeros(grid.n, dtype=complex)
+            weights[idx] = np.conj(g1[idx] * g2[idx]) * s ** -0.5
+            w3 = synthesis_profile_full(weights, grid, s, xi[2], cfg.eps,
+                                        engine.table)
+            if w3 is None:
+                continue
+            w_total += w3
+            synthesized += 1
+    mask = f3_major.indicator(grid).values.real > 0.5
+    mag = np.abs(w_total)
+    lam = float(mag[mask].sum() * h)
+    f3 = np.zeros(grid.n, dtype=complex)
+    nz = mask & (mag > 0)
+    f3[nz] = w_total[nz] / mag[nz]
+    f3[mask & ~ (mag > 0)] = 1.0
+    return lam, GridFunction(grid, f3), w_total, synthesized
 
 
 # size-lemma selection with a packet cache: every size evaluation and every

@@ -63,6 +63,39 @@ def test_cli_bad_sweep_config(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "T2", "--alpha", "0", "1", "0"],
+    ["--theorem", "T3", "--alpha", "0", "0.5", "0.5"],
+    ["--theorem", "C15", "--alpha", "0.5", "1", "-0.5"],
+    ["--theorem", "T2", "--alpha", "1", "0", "0"],
+    ["--theorem", "T3", "--alpha", "1", "0", "0"],
+    ["--theorem", "C15", "--alpha", "1", "0", "0"],
+    ["--theorem", "T2", "--alpha", "0.5", "1", "-0.5"],
+    ["--theorem", "C15", "--alpha", "-0.25", "0.75", "0.5"],
+])
+def test_cli_sweep_singular_alpha(capsys, argv):
+    # hexagon points where the family or the bound would divide by zero
+    # (T2, T3 and C15 need 0 < alpha1 < 1; T2 and C15 also alpha2 < 1)
+    assert main(["sweep", *argv, "--ratios", "0.5", "--grid-n", "1024"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("x_max", ["inf", "0"])
+def test_cli_ingham_bad_x_max(capsys, x_max):
+    assert main(["ingham", "--grid-n", "1024", "--x-max", x_max]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x_max") and "Traceback" not in err
+
+
+def test_cli_tree_suite_negative_cases(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tree-suite", "--cases", "-1"])
+    assert exc.value.code == 2
+    assert "argument --cases: must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_oracle_roundtrip(tmp_path):
     g = Grid(-8.0, 8.0, 2 ** 10)
     xs = g.xs()

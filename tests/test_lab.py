@@ -1,17 +1,20 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import band_energy_mask
-from tflab.lab import (FIELDS, SweepConfig, SweepRow, _LatticeEngine,
-                       band_energy, cantor_intervals, emit_report, fit_growth,
-                       in_hexagon, run_sweep, run_tree_suite, star,
-                       suite_direction)
+from reference import band_energy_mask, lattice_evaluate_loop
+from tflab import lab
+from tflab.lab import (FIELDS, THEOREMS, SweepConfig, SweepRow, _family,
+                       _LatticeEngine, band_energy, cantor_intervals,
+                       emit_report, fit_growth, in_hexagon, run_sweep,
+                       run_tree_suite, star, suite_direction)
 from tflab.sampling import Grid
+from tflab.timefreq import exceptional_sets
 
 
 def rows_from(deltas, ratios):
@@ -38,6 +41,8 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(alpha=(1.5, 0.0, -0.5))
     assert SweepConfig(theorem="C15").resolved_alpha() == (0.75, 0.75, -0.5)
+    # T1 and T3 divide by neither alpha2 nor 1 - alpha2
+    assert SweepConfig(theorem="T3", alpha=(0.5, 1.0, -0.5)).alpha[1] == 1.0
     assert SweepConfig(eps=1.0).eps == 1.0
 
 
@@ -263,3 +268,36 @@ def test_engine_prune_decisions_match_mask():
             assert got == band_energy_mask(freqs, power, xi, cfg.eps / s)
             pruned += got / float(power.sum()) < 1e-12
     assert 0 < pruned < len(engine.scales) * (2 * cfg.m_xi_max + 1)
+
+
+# ---------------------------------------------------------------------------
+# the engine row against the column-by-column loop
+
+@settings(max_examples=40, deadline=None)
+@given(theorem=st.sampled_from(THEOREMS), log2n=st.integers(10, 12),
+       ratio=st.floats(2.0 ** -8, 1.0), m_xi_max=st.sampled_from([4, 16, 64]))
+def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
+    # one inverse FFT of the summed slot-3 spectra against one per column
+    cfg = SweepConfig(theorem=theorem, ratios=(ratio,), grid_n=2 ** log2n,
+                      m_xi_max=m_xi_max)
+    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    engine = _LatticeEngine(cfg, grid, table)
+    f1, f2, f3_set, _ = _family(cfg, ratio, grid)
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+                                      c0=cfg.exc_c0)
+    synthesis_profile, synthesized = lab.synthesis_profile, []
+
+    def counting(*args):
+        spec = synthesis_profile(*args)
+        synthesized.append(spec is not None)
+        return spec
+
+    with mock.patch.object(lab, "synthesis_profile", counting):
+        lam, f3 = engine.evaluate(f1, f2, f3_major)
+    lam_ref, f3_ref, w_ref, synthesized_ref = lattice_evaluate_loop(
+        engine, f1, f2, f3_major)
+    assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
+    assert sum(synthesized) == synthesized_ref
+    assert np.array_equal(f3.values == 0, f3_ref.values == 0)
+    big = np.abs(w_ref) >= 1e-9 * np.abs(w_ref).max()
+    assert np.all(np.abs(f3.values - f3_ref.values)[big] <= 1e-9)

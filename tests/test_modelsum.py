@@ -1,4 +1,5 @@
 import math
+import signal
 from unittest import mock
 
 import numpy as np
@@ -294,11 +295,17 @@ def oracle_draws(draw):
     beta3 = draw(st.floats(-1.0, 1.0))
     beta = (b[0] + beta3, b[1] + beta3, beta3)
     h_cut = draw(st.sampled_from([None, dt, 1.7 * dt, 3.5 * dt]))
-    t_max = draw(st.sampled_from(["default", "on", "below", "above", "random"]))
+    t_max = draw(st.sampled_from(["default", "on", "below", "above", "random",
+                                  "exit"]))
     if t_max == "default":
         t_max = None
     elif t_max == "random":
         t_max = draw(st.floats(0.0, grid.length))
+    elif t_max == "exit":
+        # one offset either side of L / max|b|, past which every term is zero
+        bmax = max(abs(b[0]), abs(b[1]))
+        t_max = (grid.length / bmax if bmax else grid.length) \
+            + draw(st.sampled_from([-dt, dt]))
     else:
         on = (draw(st.integers(0, n // 2)) + 0.5) * dt
         t_max = {"on": on, "below": math.nextafter(on, -math.inf),
@@ -352,6 +359,29 @@ def test_lambda_direct_input_checks():
     assert lambda_direct(f, f, zero, BETA) == 0
 
 
+@pytest.mark.parametrize("b", [(1.0, 0.5), (0.0, 0.0)])
+def test_bht_direct_large_t_max_returns(b):
+    # offsets past L / max|b| add exact zeros (and none add anything at
+    # b = 0), so a huge t_max ends where t_max = L does
+    g = Grid(-8.0, 8.0, 2 ** 6)
+    f = GridFunction(g, np.exp(-g.xs() ** 2) * (1 + 0.5j))
+
+    def hang(signum, frame):
+        raise TimeoutError("bht_direct did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        got = bht_direct(f, f, b, t_max=1e12)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    want = bht_direct(f, f, b, t_max=g.length)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.values, bht_direct_loop(f, f, b, g.spacing,
+                                                      g.length).values)
+
+
 @pytest.mark.parametrize("h_cut, t_max", [(1.0, math.nan), (1.0, math.inf),
                                           (math.inf, None), (math.nan, None)])
 def test_oracle_rejects_bad_cutoffs(h_cut, t_max):
@@ -383,6 +413,7 @@ def test_profiles_match_bank(table_fine, wide_grid, wide_bank):
     # synthesis: a unit weight at that index reproduces the packet
     w = np.zeros(wide_grid.n, complex)
     w[idx] = 1.0
-    syn = synthesis_profile(w, wide_grid, 0.5, 2.0, 0.25, wide_bank.table)
+    spec = synthesis_profile(w, wide_grid, 0.5, 2.0, 0.25, wide_bank.table)
+    syn = np.fft.ifft(spec) * (wide_grid.n / wide_grid.length)
     pk = wide_bank.packet(td).samples
     assert np.abs(syn - pk.values).max() <= 1e-10

@@ -128,6 +128,12 @@ def test_explicit_kmax_errors(params):
         build_ingham(params, k_max=10 ** 6, grid_n=2 ** 10)
 
 
+@pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0, -8.0])
+def test_build_ingham_rejects_bad_x_max(params, x_max):
+    with pytest.raises(ValueError, match="x_max"):
+        build_ingham(params, grid_n=2 ** 10, x_max=x_max)
+
+
 def test_sandwich(table):
     rep = verify_sandwich(table)
     assert rep.passed

@@ -106,8 +106,13 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
     f_hat = np.fft.fft(rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
     weights = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     scale = 2.0 ** j
+    # synthesis_profile returns the spectrum; inverted, it is the synthesis
+    def synthesis(*args):
+        spec = synthesis_profile(*args)
+        return None if spec is None else np.fft.ifft(spec) * (g.n / g.length)
+
     for fast, full, data in ((coefficient_profile, coefficient_profile_full, f_hat),
-                             (synthesis_profile, synthesis_profile_full, weights)):
+                             (synthesis, synthesis_profile_full, weights)):
         a = fast(data, g, scale, xi, eps, table)
         b = full(data, g, scale, xi, eps, table)
         assert (a is None) == (b is None) == (old is ResolutionError)

@@ -13,7 +13,8 @@ from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             superlevel_decompose, write_gridfunction_csv)
 
 from reference import (cover_count_loop, maximal_dyadic_intervals_loop,
-                       maximal_function_brute, superlevel_decompose_loop)
+                       maximal_function_blocks, maximal_function_brute,
+                       superlevel_decompose_loop)
 
 
 def indicator(grid, lo, hi):
@@ -150,6 +151,34 @@ def test_maximal_monotone():
     ms = maximal_function(GridFunction(g, small + 0j), 1.0)
     mb = maximal_function(GridFunction(g, big + 0j), 1.0)
     assert np.all(ms.values.real <= mb.values.real + 1e-12)
+
+
+@st.composite
+def maximal_inputs(draw):
+    n = 2 ** draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["complex", "zeros", "constant", "spikes"]))
+    if kind == "complex":
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    elif kind == "zeros":
+        v = np.zeros(n, complex)
+    elif kind == "constant":
+        v = np.full(n, draw(st.floats(-1e3, 1e3)) + 0j)
+    else:  # sparse spikes up to 1e8 on a small background
+        v = 1e-3 * rng.normal(size=n) + 0j
+        hit = rng.random(n) < draw(st.floats(0.0, 0.1))
+        v[hit] = 10.0 ** rng.uniform(0, 8, size=int(hit.sum()))
+    p = draw(st.sampled_from([1.0, 4.0 / 3.0, 1.5, 2.0, 3.0]))
+    return GridFunction(Grid(-4.0, 4.0, n), v), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(maximal_inputs())
+def test_maximal_function_matches_block_maxima(draw):
+    # the doubling maximum selects among the same window means exactly
+    f, p = draw
+    assert np.array_equal(maximal_function(f, p).values,
+                          maximal_function_blocks(f, p).values)
 
 
 def test_maximal_p_validation():
