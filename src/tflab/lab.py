@@ -128,33 +128,26 @@ def _bump(grid: Grid, width: float, p: float) -> GridFunction:
     return GridFunction(grid, v / lp_norm(f, p))
 
 
+def _f1(cfg: SweepConfig, grid: Grid) -> GridFunction:
+    """f1, the same function at every ratio of a sweep."""
+    if cfg.theorem == "C15":
+        return IntervalSet.from_pairs([(0.0, 1.0)]).indicator(grid)
+    a1 = cfg.resolved_alpha()[0]
+    return _bump(grid, 4.0, 2.0 if cfg.theorem == "T1" else 1.0 / a1)
+
+
 def _family(cfg: SweepConfig, delta: float, grid: Grid):
-    """(f1, f2, F3 set, |F2|) per the theorem's restriction pattern."""
-    a1, a2, a3 = cfg.resolved_alpha()
+    """(f2, F3 set, |F2|) per the theorem's restriction pattern."""
     if cfg.set_family == "cantor":
         scale = 1.5 ** cfg.cantor_depth
         f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), cfg.cantor_depth)
     else:
         f2_set = IntervalSet.from_pairs([(0.0, delta)])
-    f3_set = IntervalSet.from_pairs([(0.0, 1.0)])
-    if cfg.theorem == "T1":
-        f1 = _bump(grid, 4.0, 2.0)
-        f2 = f2_set.indicator(grid)
-        return f1, f2, f3_set, f2_set.measure
-    if cfg.theorem == "T2":
-        f1 = _bump(grid, 4.0, 1.0 / a1)
-        f2 = f2_set.indicator(grid)
-        return f1, f2, f3_set, f2_set.measure
     if cfg.theorem == "T3":
-        f3_set = IntervalSet.from_pairs([(0.0, delta)])
-        f1 = _bump(grid, 4.0, 1.0 / a1)
-        f2 = _bump(grid, 2.0, 2.0)
-        return f1, f2, f3_set, f2_set.measure
-    # C15: all three restricted
-    f1_set = IntervalSet.from_pairs([(0.0, 1.0)])
-    f1 = f1_set.indicator(grid)
-    f2 = f2_set.indicator(grid)
-    return f1, f2, f3_set, f2_set.measure
+        return (_bump(grid, 2.0, 2.0), IntervalSet.from_pairs([(0.0, delta)]),
+                f2_set.measure)
+    return (f2_set.indicator(grid), IntervalSet.from_pairs([(0.0, 1.0)]),
+            f2_set.measure)
 
 
 def _bound_rhs(cfg: SweepConfig, f1n: float, f2n: float, f2_measure: float,
@@ -209,9 +202,13 @@ def band_energy(freqs: np.ndarray, power: np.ndarray, xi: float,
 
 
 class _LatticeEngine:
-    """Translation-batched model-sum evaluator over a frequency-column lattice."""
+    """Translation-batched model-sum evaluator over a frequency-column lattice.
 
-    def __init__(self, cfg: SweepConfig, grid: Grid, table: InghamTable):
+    Built once per sweep from f1 (the prune, the slot-1 profiles); rows pass f2.
+    """
+
+    def __init__(self, cfg: SweepConfig, grid: Grid, table: InghamTable,
+                 f1: GridFunction):
         self.cfg = cfg
         self.grid = grid
         self.table = table
@@ -220,42 +217,44 @@ class _LatticeEngine:
         self.scales = [2.0 ** j for j in
                        range(cfg.scale_log2_max, cfg.scale_log2_min - 1, -1)
                        if 2.0 ** j >= 4 * grid.spacing]
-
-    def evaluate(self, f1: GridFunction, f2: GridFunction,
-                 f3_major: IntervalSet) -> tuple[float, GridFunction]:
-        """(best |model sum|, aligned f3) over subindicators of the major set."""
-        grid, cfg = self.grid, self.cfg
-        h = grid.spacing
         fh1 = np.fft.fft(f1.values)
-        fh2 = np.fft.fft(f2.values)
         # columns where f1 has no spectral energy in the slot-1 band are pruned
         freqs = grid.freqs()
         power = np.abs(fh1) ** 2
         total = float(power.sum())
-        spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
+        lo = int(round((-cfg.pos_extent - grid.x0) / grid.spacing))
+        hi = int(round((cfg.pos_extent - grid.x0) / grid.spacing))
+        self.columns = []
         for s in self.scales:
-            step = int(round(s / h))
-            lo = int(round((-cfg.pos_extent - grid.x0) / h))
-            hi = int(round((cfg.pos_extent - grid.x0) / h))
-            idx = np.arange(lo, hi + 1, step) % grid.n
+            idx = np.arange(lo, hi + 1, int(round(s / grid.spacing))) % grid.n
             for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
                 xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
                 if (total <= 0 or band_energy(freqs, power, xi[0], cfg.eps / s)
                         / total < 1e-12):
                     continue
-                g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, self.table)
-                g2 = coefficient_profile(fh2, grid, s, xi[1], cfg.eps, self.table)
-                if g1 is None or g2 is None:
-                    continue
-                weights = np.zeros(grid.n, dtype=complex)
-                weights[idx] = np.conj(g1[idx] * g2[idx]) * s ** -0.5
-                w3 = synthesis_profile(weights, grid, s, xi[2], cfg.eps, self.table)
-                if w3 is not None:
-                    spectrum += w3
+                g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table)
+                if g1 is not None:
+                    self.columns.append((s, idx, xi[1], xi[2], g1[idx]))
+
+    def evaluate(self, f2: GridFunction,
+                 f3_major: IntervalSet) -> tuple[float, GridFunction]:
+        """(best |model sum|, aligned f3) over subindicators of the major set."""
+        grid, cfg = self.grid, self.cfg
+        fh2 = np.fft.fft(f2.values)
+        spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
+        for s, idx, xi2, xi3, g1 in self.columns:
+            g2 = coefficient_profile(fh2, grid, s, xi2, cfg.eps, self.table)
+            if g2 is None:
+                continue
+            weights = np.zeros(grid.n, dtype=complex)
+            weights[idx] = np.conj(g1 * g2[idx]) * s ** -0.5
+            w3 = synthesis_profile(weights, grid, s, xi3, cfg.eps, self.table)
+            if w3 is not None:
+                spectrum += w3
         w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
         mask = f3_major.indicator(grid).values.real > 0.5
         mag = np.abs(w_total)
-        lam = float(mag[mask].sum() * h)
+        lam = float(mag[mask].sum() * grid.spacing)
         f3 = np.zeros(grid.n, dtype=complex)
         nz = mask & (mag > 0)
         f3[nz] = w_total[nz] / mag[nz]
@@ -280,18 +279,18 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     params = OsgoodParams(cfg.lam_family)
     table = build_ingham(params, grid_n=cfg.ingham_grid_n)
     grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
-    engine = _LatticeEngine(cfg, grid, table)
     alpha = cfg.resolved_alpha()
+    f1 = _f1(cfg, grid)
+    f1n = lp_norm(f1, 2.0 if cfg.theorem == "T1" else 1.0 / alpha[0])
+    engine = _LatticeEngine(cfg, grid, table, f1)
 
     def one(delta: float) -> SweepRow:
         try:
-            f1, f2, f3_set, f2_measure = _family(cfg, delta, grid)
+            f2, f3_set, f2_measure = _family(cfg, delta, grid)
             _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=cfg.exc_c0)
             frac = f3_major.measure / f3_set.measure
-            lam_model, f3 = engine.evaluate(f1, f2, f3_major)
+            lam_model, f3 = engine.evaluate(f2, f3_major)
             lam_direct = _oracle_value(cfg, f1, f2, f3)
-            a1 = alpha[0]
-            f1n = lp_norm(f1, 2.0 if cfg.theorem == "T1" else 1.0 / a1)
             f2n = lp_norm(f2, 2.0)
             rhs = _bound_rhs(cfg, f1n, f2n, f2_measure, f3_set.measure)
             return SweepRow(delta, lam_model, lam_direct, rhs,

@@ -106,14 +106,16 @@ def rescale_check(S, f1: GridFunction, f2: GridFunction, f3: GridFunction,
 _ORACLE_BLOCK = 2 ** 13
 
 
-def _oracle_cutoffs(fs, h_cut: float | None,
+def _oracle_cutoffs(fs, b, h_cut: float | None,
                     t_max: float | None) -> tuple[float, float]:
     """(h_cut, t_max) with their defaults dt and L/2, after the one check.
 
-    fs must share one grid; both cutoffs must be finite, and h_cut >= dt.
+    fs must share one grid; b and both cutoffs must be finite, and h_cut >= dt.
     """
     for f in fs[1:]:
         _same_grid(fs[0], f)
+    if not all(map(math.isfinite, b)):
+        raise ValueError(f"b must be finite, got {tuple(map(float, b))}")
     grid = fs[0].grid
     h_cut = grid.spacing if h_cut is None else h_cut
     t_max = grid.length / 2 if t_max is None else t_max
@@ -152,9 +154,8 @@ def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
     bmax = float(np.abs(b).max())
     i0 = int(math.ceil(h_cut / dt - 0.5))
     i1 = i0
-    # a NaN in b makes bmax NaN, and `not >=` runs it to t_max (NaN output)
     while (bmax != 0 and (i1 + 0.5) * dt <= t_max
-           and not bmax * (i1 + 0.5) * dt >= grid.length):
+           and bmax * (i1 + 0.5) * dt < grid.length):
         i1 += 1
     acc = np.zeros(pts.size, dtype=complex)
     rows = max(1, _ORACLE_BLOCK // pts.size)
@@ -175,7 +176,7 @@ def bht_direct(f1: GridFunction, f2: GridFunction, b: tuple[float, float],
                h_cut: float | None = None,
                t_max: float | None = None) -> GridFunction:
     """BHT_b(f1, f2) on the whole grid (`_bht_on`; cutoffs default to dt, L/2)."""
-    h_cut, t_max = _oracle_cutoffs((f1, f2), h_cut, t_max)
+    h_cut, t_max = _oracle_cutoffs((f1, f2), b, h_cut, t_max)
     return GridFunction(f1.grid, _bht_on(f1, f2, b, h_cut, t_max,
                                          np.arange(f1.grid.n)))
 
@@ -190,9 +191,8 @@ def lambda_direct(f1: GridFunction, f2: GridFunction, f3: GridFunction,
     to full length before the pairing sum, so the result equals the pairing
     of `bht_direct`'s output bit for bit.
     """
-    h_cut, t_max = _oracle_cutoffs((f1, f2, f3), h_cut, t_max)
-    beta = np.asarray(beta, dtype=float)
-    b = (beta[0] - beta[2], beta[1] - beta[2])
+    b = np.asarray(beta[:2], dtype=float) - beta[2]
+    h_cut, t_max = _oracle_cutoffs((f1, f2, f3), b, h_cut, t_max)
     sup = np.flatnonzero(f3.values)
     if sup.size == 0:
         return 0j

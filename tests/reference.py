@@ -10,10 +10,10 @@ import math
 import numpy as np
 
 from tflab.errors import ResolutionError
-from tflab.lab import random_collection, random_signal
+from tflab.lab import _bump, cantor_intervals, random_collection, random_signal
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
-from tflab.sampling import (DyadicInterval, Grid, GridFunction, dyadic_cover,
-                            grid_dyadic_scales, lp_norm)
+from tflab.sampling import (DyadicInterval, Grid, GridFunction, IntervalSet,
+                            dyadic_cover, grid_dyadic_scales, lp_norm)
 from tflab.timefreq import Forest, Tree, _make_tree, validate_tree
 
 
@@ -212,6 +212,35 @@ def band_energy_mask(freqs: np.ndarray, power: np.ndarray, xi: float,
                      radius: float) -> float:
     band = np.abs(freqs - xi) <= radius
     return float(power[band].sum())
+
+
+def sweep_family_per_row(cfg, delta: float, grid: Grid):
+    """(f1, f2, F3 set, |F2|) of one sweep row, f1 rebuilt at every ratio."""
+    a1 = cfg.resolved_alpha()[0]
+    if cfg.set_family == "cantor":
+        scale = 1.5 ** cfg.cantor_depth
+        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), cfg.cantor_depth)
+    else:
+        f2_set = IntervalSet.from_pairs([(0.0, delta)])
+    f3_set = IntervalSet.from_pairs([(0.0, 1.0)])
+    if cfg.theorem == "T1":
+        f1 = _bump(grid, 4.0, 2.0)
+        f2 = f2_set.indicator(grid)
+        return f1, f2, f3_set, f2_set.measure
+    if cfg.theorem == "T2":
+        f1 = _bump(grid, 4.0, 1.0 / a1)
+        f2 = f2_set.indicator(grid)
+        return f1, f2, f3_set, f2_set.measure
+    if cfg.theorem == "T3":
+        f3_set = IntervalSet.from_pairs([(0.0, delta)])
+        f1 = _bump(grid, 4.0, 1.0 / a1)
+        f2 = _bump(grid, 2.0, 2.0)
+        return f1, f2, f3_set, f2_set.measure
+    # C15: all three restricted
+    f1_set = IntervalSet.from_pairs([(0.0, 1.0)])
+    f1 = f1_set.indicator(grid)
+    f2 = f2_set.indicator(grid)
+    return f1, f2, f3_set, f2_set.measure
 
 
 def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):

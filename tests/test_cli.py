@@ -111,18 +111,21 @@ def test_cli_oracle_roundtrip(tmp_path):
     assert res.grid == g
 
 
-@pytest.mark.parametrize("h_cut", ["inf", "nan", "0"])
-def test_cli_oracle_bad_h_cut(tmp_path, capsys, h_cut):
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--h-cut", v, id=v) for v in ("inf", "nan", "0")] + [
+    pytest.param("--b1", v, id=f"b1={v}") for v in ("inf", "nan")])
+def test_cli_oracle_bad_h_cut(tmp_path, capsys, flag, value):
     # a cutoff that is not finite or is below the grid spacing is an error,
-    # never replaced by the default
+    # never replaced by the default; so is a b that is not finite
     g = Grid(-8.0, 8.0, 2 ** 6)
     sig = tmp_path / "f.csv"
     write_gridfunction_csv(GridFunction(g, np.exp(-g.xs() ** 2) + 0j), sig)
     out = tmp_path / "o.csv"
     assert main(["oracle", "--f1", str(sig), "--f2", str(sig),
-                 "--h-cut", h_cut, "--out", str(out)]) == 1
+                 flag, value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: h_cut") and "Traceback" not in err
+    name = "h_cut" if flag == "--h-cut" else "b "
+    assert err.startswith(f"error: {name}") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import band_energy_mask, lattice_evaluate_loop
+from reference import (band_energy_mask, lattice_evaluate_loop,
+                       sweep_family_per_row)
 from tflab import lab
-from tflab.lab import (FIELDS, THEOREMS, SweepConfig, SweepRow, _family,
+from tflab.lab import (FIELDS, THEOREMS, SweepConfig, SweepRow, _f1, _family,
                        _LatticeEngine, band_energy, cantor_intervals,
                        emit_report, fit_growth, in_hexagon, run_sweep,
                        run_tree_suite, star, suite_direction)
-from tflab.sampling import Grid
+from tflab.modelsum import coefficient_profile
+from tflab.sampling import Grid, GridFunction
 from tflab.timefreq import exceptional_sets
 
 
@@ -252,22 +254,33 @@ def test_band_energy_window_matches_mask(draw):
     assert (got / total < 1e-12) == (want / total < 1e-12)
 
 
-def test_engine_prune_decisions_match_mask():
-    # every column of a T1-shaped lattice: the same sums, so the same prunes
+def test_engine_prune_decisions_match_mask(table):
+    # every column of a T1-shaped lattice: the same sums, so the same prunes;
+    # the engine keeps each unpruned column whose slot-1 band resolves, once
     grid = Grid(-16.0, 16.0, 2 ** 12)
     cfg = SweepConfig(grid_n=grid.n)
-    engine = _LatticeEngine(cfg, grid, table=None)
-    xs = grid.xs()
-    power = np.abs(np.fft.fft(np.exp(-(xs / 4.0) ** 2))) ** 2
+    f1 = GridFunction(grid, np.exp(-(grid.xs() / 4.0) ** 2) + 0j)
+    engine = _LatticeEngine(cfg, grid, table, f1)
+    fh1 = np.fft.fft(f1.values)
+    power = np.abs(fh1) ** 2
     freqs = grid.freqs()
-    pruned = 0
+    pruned, kept = 0, []
     for s in engine.scales:
         for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
-            xi = (engine.gamma[0] * mxi + engine.beta[0]) / s
-            got = band_energy(freqs, power, xi, cfg.eps / s)
-            assert got == band_energy_mask(freqs, power, xi, cfg.eps / s)
-            pruned += got / float(power.sum()) < 1e-12
+            xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
+            got = band_energy(freqs, power, xi[0], cfg.eps / s)
+            assert got == band_energy_mask(freqs, power, xi[0], cfg.eps / s)
+            if got / float(power.sum()) < 1e-12:
+                pruned += 1
+                continue
+            g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table)
+            if g1 is not None:
+                kept.append((s, xi[1], xi[2], g1))
     assert 0 < pruned < len(engine.scales) * (2 * cfg.m_xi_max + 1)
+    assert len(engine.columns) == len(kept)
+    for (s, idx, xi2, xi3, g1), k in zip(engine.columns, kept):
+        assert (s, xi2, xi3) == k[:3]
+        assert np.array_equal(g1, k[3][idx])
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +294,9 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     cfg = SweepConfig(theorem=theorem, ratios=(ratio,), grid_n=2 ** log2n,
                       m_xi_max=m_xi_max)
     grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
-    engine = _LatticeEngine(cfg, grid, table)
-    f1, f2, f3_set, _ = _family(cfg, ratio, grid)
+    f1 = _f1(cfg, grid)
+    engine = _LatticeEngine(cfg, grid, table, f1)
+    f2, f3_set, _ = _family(cfg, ratio, grid)
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
                                       c0=cfg.exc_c0)
     synthesis_profile, synthesized = lab.synthesis_profile, []
@@ -293,7 +307,7 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
         return spec
 
     with mock.patch.object(lab, "synthesis_profile", counting):
-        lam, f3 = engine.evaluate(f1, f2, f3_major)
+        lam, f3 = engine.evaluate(f2, f3_major)
     lam_ref, f3_ref, w_ref, synthesized_ref = lattice_evaluate_loop(
         engine, f1, f2, f3_major)
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
@@ -301,3 +315,46 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     assert np.array_equal(f3.values == 0, f3_ref.values == 0)
     big = np.abs(w_ref) >= 1e-9 * np.abs(w_ref).max()
     assert np.all(np.abs(f3.values - f3_ref.values)[big] <= 1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(theorem=st.sampled_from(THEOREMS), log2n=st.integers(10, 12),
+       ratios=st.lists(st.floats(2.0 ** -8, 1.0), min_size=2, max_size=4,
+                       unique=True),
+       m_xi_max=st.sampled_from([4, 16, 64]))
+def test_engine_rows_do_not_depend_on_order(table, theorem, log2n, ratios,
+                                            m_xi_max):
+    # one engine per sweep, its rows taken in the drawn order, gives each row
+    # exactly what a fresh engine built for that row alone gives
+    cfg = SweepConfig(theorem=theorem, ratios=tuple(sorted(ratios, reverse=True)),
+                      grid_n=2 ** log2n, m_xi_max=m_xi_max)
+    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    f1 = _f1(cfg, grid)
+    shared = _LatticeEngine(cfg, grid, table, f1)
+    for ratio in ratios:
+        f2, f3_set, _ = _family(cfg, ratio, grid)
+        _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+                                          c0=cfg.exc_c0)
+        lam, f3 = shared.evaluate(f2, f3_major)
+        lam_fresh, f3_fresh = _LatticeEngine(cfg, grid, table, f1).evaluate(
+            f2, f3_major)
+        assert lam == lam_fresh
+        assert np.array_equal(f3.values, f3_fresh.values)
+
+
+@pytest.mark.parametrize("set_family", ["interval", "cantor"])
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_f1_and_family_match_per_row_family(theorem, set_family):
+    # f1 built once per sweep and the per-row rest equal the four-tuple that
+    # rebuilt f1 at every ratio
+    cfg = SweepConfig(theorem=theorem, set_family=set_family)
+    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    f1 = _f1(cfg, grid)
+    for delta in cfg.ratios:
+        f1_ref, f2_ref, f3_set_ref, f2_measure_ref = sweep_family_per_row(
+            cfg, delta, grid)
+        f2, f3_set, f2_measure = _family(cfg, delta, grid)
+        assert np.array_equal(f1.values, f1_ref.values)
+        assert np.array_equal(f2.values, f2_ref.values)
+        assert f3_set == f3_set_ref
+        assert f2_measure == f2_measure_ref

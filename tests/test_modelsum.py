@@ -382,18 +382,25 @@ def test_bht_direct_large_t_max_returns(b):
                                                       g.length).values)
 
 
-@pytest.mark.parametrize("h_cut, t_max", [(1.0, math.nan), (1.0, math.inf),
-                                          (math.inf, None), (math.nan, None)])
-def test_oracle_rejects_bad_cutoffs(h_cut, t_max):
-    # both oracle entry points reject a non-finite cutoff with a ValueError
-    # that names it, before any offset is counted (h_cut in grid spacings)
+@pytest.mark.parametrize("h_cut, t_max, b1", [
+    pytest.param(1.0, math.nan, 1.0, id="1.0-nan"),
+    pytest.param(1.0, math.inf, 1.0, id="1.0-inf"),
+    pytest.param(math.inf, None, 1.0, id="inf-None"),
+    pytest.param(math.nan, None, 1.0, id="nan-None"),
+    pytest.param(1.0, None, math.inf, id="b1=inf"),
+    pytest.param(1.0, None, -math.inf, id="b1=-inf"),
+    pytest.param(1.0, None, math.nan, id="b1=nan")])
+def test_oracle_rejects_bad_cutoffs(h_cut, t_max, b1):
+    # both oracle entry points reject a non-finite b or cutoff with a
+    # ValueError that names it, before any offset is counted (h_cut in grid
+    # spacings; lambda_direct derives b = (b1, 0) from beta = (b1, 0, 0))
     g = Grid(-8.0, 8.0, 2 ** 6)
     f = GridFunction(g, np.exp(-g.xs() ** 2) + 0j)
     h_cut *= g.spacing
-    with pytest.raises(ValueError, match="h_cut|t_max"):
-        bht_direct(f, f, (1.0, 0.5), h_cut, t_max)
-    with pytest.raises(ValueError, match="h_cut|t_max"):
-        lambda_direct(f, f, f, BETA, h_cut=h_cut, t_max=t_max)
+    with pytest.raises(ValueError, match="^(h_cut|t_max|b) "):
+        bht_direct(f, f, (b1, 0.5), h_cut, t_max)
+    with pytest.raises(ValueError, match="^(h_cut|t_max|b) "):
+        lambda_direct(f, f, f, (b1, 0.0, 0.0), h_cut=h_cut, t_max=t_max)
 
 
 # ---------------------------------------------------------------------------
