@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +74,11 @@ class SweepConfig:
             raise ValueError("ratios must be finite, positive and strictly decreasing")
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        # the engine's translates step by s/h samples, which divides n only
+        # when the domain, like n, is a power of two
+        if not (math.isfinite(self.domain) and self.domain > 0
+                and math.frexp(self.domain)[0] == 0.5):
+            raise ValueError(f"domain must be a power of two, got {self.domain}")
         a1, a2, _ = alpha = self.resolved_alpha()
         if not in_hexagon(alpha):
             raise ValueError("alpha outside the admissible hexagon")
@@ -205,6 +208,8 @@ class _LatticeEngine:
     """Translation-batched model-sum evaluator over a frequency-column lattice.
 
     Built once per sweep from f1 (the prune, the slot-1 profiles); rows pass f2.
+    A column at scale s has translates every step = s/h samples, at offset r
+    from the origin; they are the slots of its folded profiles, of size n/step.
     """
 
     def __init__(self, cfg: SweepConfig, grid: Grid, table: InghamTable,
@@ -216,7 +221,7 @@ class _LatticeEngine:
         self.gamma = gamma_from_beta(self.beta)
         self.scales = [2.0 ** j for j in
                        range(cfg.scale_log2_max, cfg.scale_log2_min - 1, -1)
-                       if 2.0 ** j >= 4 * grid.spacing]
+                       if 4 * grid.spacing <= 2.0 ** j <= grid.length]
         fh1 = np.fft.fft(f1.values)
         # columns where f1 has no spectral energy in the slot-1 band are pruned
         freqs = grid.freqs()
@@ -226,15 +231,19 @@ class _LatticeEngine:
         hi = int(round((cfg.pos_extent - grid.x0) / grid.spacing))
         self.columns = []
         for s in self.scales:
-            idx = np.arange(lo, hi + 1, int(round(s / grid.spacing))) % grid.n
+            step = round(s / grid.spacing)
+            r = lo % step
+            slots = np.arange(lo, hi + 1, step) % grid.n // step
             for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
                 xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
                 if (total <= 0 or band_energy(freqs, power, xi[0], cfg.eps / s)
                         / total < 1e-12):
                     continue
-                g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table)
+                g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table,
+                                         step, r)
                 if g1 is not None:
-                    self.columns.append((s, idx, xi[1], xi[2], g1[idx]))
+                    self.columns.append((s, step, r, slots, xi[1], xi[2],
+                                         g1[slots]))
 
     def evaluate(self, f2: GridFunction,
                  f3_major: IntervalSet) -> tuple[float, GridFunction]:
@@ -242,15 +251,17 @@ class _LatticeEngine:
         grid, cfg = self.grid, self.cfg
         fh2 = np.fft.fft(f2.values)
         spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
-        for s, idx, xi2, xi3, g1 in self.columns:
-            g2 = coefficient_profile(fh2, grid, s, xi2, cfg.eps, self.table)
+        for s, step, r, slots, xi2, xi3, g1 in self.columns:
+            g2 = coefficient_profile(fh2, grid, s, xi2, cfg.eps, self.table,
+                                     step, r)
             if g2 is None:
                 continue
-            weights = np.zeros(grid.n, dtype=complex)
-            weights[idx] = np.conj(g1 * g2[idx]) * s ** -0.5
-            w3 = synthesis_profile(weights, grid, s, xi3, cfg.eps, self.table)
+            weights = np.zeros(g2.size, dtype=complex)
+            weights[slots] = np.conj(g1 * g2[slots]) * s ** -0.5
+            w3 = synthesis_profile(weights, grid, s, xi3, cfg.eps, self.table, r)
             if w3 is not None:
-                spectrum += w3
+                bins, values = w3
+                spectrum[bins] += values
         w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
         mask = f3_major.indicator(grid).values.real > 0.5
         mag = np.abs(w_total)
@@ -299,10 +310,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             return SweepRow(delta, math.nan, math.nan, math.nan, math.nan,
                             math.nan, status=f"resolution-error: {exc}")
 
-    workers = int(os.environ.get("TFLAB_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, cfg.ratios))
     return [one(d) for d in cfg.ratios]
 
 

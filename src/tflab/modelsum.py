@@ -203,32 +203,56 @@ def lambda_direct(f1: GridFunction, f2: GridFunction, f3: GridFunction,
 
 # ---------------------------------------------------------------------------
 # fast translation-batched coefficients (sweep engine)
+#
+# The engine needs packets only at the samples r + step j, j = 0 ... m - 1,
+# with m = n / step.  Bins k and k + m carry the same phase at that stride,
+# so folding a spectrum modulo m and transforming at size m gives those
+# samples exactly (the aliasing identity behind pruned FFTs).
+
+def _ramp(bins: np.ndarray, r: int, n: int) -> np.ndarray:
+    """e^{2 pi i k r / n} at the bins k, with k r reduced modulo n exactly."""
+    return np.exp(2j * np.pi * ((bins * r) % n / n))
+
 
 def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
-                        eps: float, table) -> np.ndarray | None:
-    """<f, packet centered at x0 + idx h> for every shift idx, via one FFT.
+                        eps: float, table, step: int,
+                        r: int) -> np.ndarray | None:
+    """<f, packet centered at x0 + (r + step j) h> for j = 0 ... n/step - 1.
 
-    f_hat must be fft(f.values).  Returns None when the band is unresolvable
+    f_hat must be fft(f.values) and step must divide n.  The band's bins of
+    f_hat conj(hat) e^{2 pi i k r/n} are folded modulo m = n/step and inverted
+    by one FFT of size m.  Returns None when the band is unresolvable
     (off-Nyquist or spanning fewer than 4 bins).  Canonical packets are exact
     translates of each other, so the coefficient map is a correlation.
     """
     try:
-        hat = packet_hat(grid, scale, xi, eps, table)
+        bins, hat = packet_hat(grid, scale, xi, eps, table)
     except ResolutionError:
         return None
-    # <f, p_c> = (1/L) sum_m F_m conj(H_m) e^{2 pi i zeta_m (c - x0)}
-    return np.fft.ifft(f_hat * grid.spacing * np.conj(hat)) * (grid.n / grid.length)
+    m = grid.n // step
+    # <f, p_c> = (1/L) sum_k F_k conj(H_k) e^{2 pi i zeta_k (c - x0)}
+    prod = f_hat[bins] * grid.spacing * hat * _ramp(bins, r, grid.n)
+    slot = bins % m
+    folded = np.empty(m, dtype=complex)
+    folded.real = np.bincount(slot, prod.real, m)
+    folded.imag = np.bincount(slot, prod.imag, m)
+    return np.fft.ifft(folded) * (m / grid.length)
 
 
 def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi: float,
-                      eps: float, table) -> np.ndarray | None:
-    """Spectrum of sum_idx weights[idx] * packet_idx(x), via one FFT.
+                      eps: float, table,
+                      r: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Band form (bins, spectrum) of sum_j weights[j] * packet_{r + step j}.
 
-    The synthesis on the grid is ifft(spectrum) * (n / L); callers sum the
-    spectra of many columns and invert once.  None when unresolvable.
+    weights has m = n/step entries, one per translate at the stride; its FFT
+    of size m, tiled over the band with the conjugate phase ramp and the hat,
+    is the synthesis spectrum, zero off `bins`.  The synthesis on the grid
+    is ifft(spectrum) * (n / L); callers add the spectra of many columns and
+    invert once.  None when unresolvable.
     """
     try:
-        hat = packet_hat(grid, scale, xi, eps, table)
+        bins, hat = packet_hat(grid, scale, xi, eps, table)
     except ResolutionError:
         return None
-    return np.fft.fft(weights) * hat
+    w_hat = np.fft.fft(weights)
+    return bins, w_hat[bins % weights.size] * hat * np.conj(_ramp(bins, r, grid.n))

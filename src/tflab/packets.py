@@ -80,26 +80,40 @@ def _band_check(grid: Grid, xi: float, bandwidth: float, min_bins: int = 4) -> N
 
 
 def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
-               table: InghamTable) -> np.ndarray:
-    """Unit-normalized spectrum of the packet at spatial scale `scale` and xi.
+               table: InghamTable) -> tuple[np.ndarray, np.ndarray]:
+    """Band form (bins, values) of the unit-normalized packet spectrum.
 
-    The one definition of the packet spectrum: full length, fftfreq order, the
-    window spectrum dilated to scale/eps and centered at xi, normalized in the
-    grid L2 norm.  The window spectrum vanishes off (-1, 1), so `spectrum_at`
-    runs on the band's bins only and every other bin is exactly zero.  Raises
-    ResolutionError when the band crosses Nyquist, spans fewer than 4 bins, or
-    misses every bin.
+    The one definition of the packet spectrum at spatial scale `scale` and
+    xi: the window spectrum dilated to scale/eps and centered at xi,
+    normalized in the grid L2 norm.  The window spectrum vanishes off
+    (-1, 1), so the spectrum is zero off the bins of the fftfreq lattice
+    within eps/scale of xi.  `bins` are those bins' indices in fftfreq order
+    and `values` the spectrum there; every other bin is exactly zero.  Each
+    value, and the norm, equal those of the full-length spectrum bit for bit.
+    Raises ResolutionError when the band crosses Nyquist, spans fewer than 4
+    bins, or misses every bin.
     """
     _band_check(grid, xi, eps / scale)
+    n = grid.n
     lam_s = scale / eps
-    arg = lam_s * (grid.freqs() - xi)
+    dz = 1.0 / (n * grid.spacing)  # the lattice spacing, as fftfreq has it
+    # signed bin numbers around the band, one bin of slack for rounding at
+    # either end, clipped to the lattice's -n/2 ... (n - 1)/2
+    k0 = max(math.floor((xi - 1 / lam_s) / dz) - 1, -(n // 2))
+    k1 = min(math.ceil((xi + 1 / lam_s) / dz) + 1, (n - 1) // 2)
+    k = np.arange(k0, k1 + 1)
+    arg = lam_s * (k * dz - xi)
     band = np.abs(arg) < 1
-    hat = np.zeros(grid.n)
-    hat[band] = lam_s * table.spectrum_at(arg[band])
-    norm = math.sqrt((hat**2).sum() / grid.length)
+    bins = k[band] % n
+    values = lam_s * table.spectrum_at(arg[band])
+    # the norm sums the squares in their full-length places: summation order
+    # sets its last bits, and canonical packets' bits are pinned
+    sq = np.zeros(n)
+    sq[bins] = values**2
+    norm = math.sqrt(sq.sum() / grid.length)
     if norm == 0:
         raise ResolutionError("packet band misses every frequency bin")
-    return hat / norm
+    return bins, values / norm
 
 
 def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
@@ -107,7 +121,9 @@ def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
     """Unit-normalized packet with spectrum in the band of length eps/|I| at xi."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    hat = packet_hat(grid, td.interval.length, td.xi, eps, table)
+    bins, values = packet_hat(grid, td.interval.length, td.xi, eps, table)
+    hat = np.zeros(grid.n)
+    hat[bins] = values
     hat = hat * np.exp(-2j * np.pi * grid.freqs() * (td.interval.center - grid.x0))
     vals = np.fft.ifft(hat) * (grid.n / grid.length)
     return WavePacket(td, eps, GridFunction(grid, vals), td.xi)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -56,6 +55,33 @@ def test_sweep_config_validation():
 def test_sweep_config_rejects_nonfinite_ratios_and_bad_eps(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize("domain", [30.0, 3.0, 0.0, -32.0, math.inf, math.nan])
+def test_sweep_config_rejects_off_dyadic_domain(domain):
+    # translates step by s/h samples; on a domain of 30 at n = 2^15 that is
+    # 546 samples at s = 1/2, so they would sit 0.49988 apart, not 0.5
+    with pytest.raises(ValueError, match="domain must be a power of two"):
+        SweepConfig(domain=domain)
+
+
+def test_engine_scales_fit_the_domain(table):
+    # 4h <= s <= L: every column folds to L/s >= 1 slots.  Here h = 2^-6 and
+    # pos_extent > L/2, so the translates wrap and repeat slots
+    cfg = SweepConfig(theorem="C15", ratios=(0.25,), domain=4.0, grid_n=2 ** 8,
+                      scale_log2_max=4, m_xi_max=16)
+    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    f1 = _f1(cfg, grid)
+    engine = _LatticeEngine(cfg, grid, table, f1)
+    assert engine.scales == [2.0 ** j for j in range(2, -5, -1)]
+    assert engine.columns
+    f2, f3_set, _ = _family(cfg, 0.25, grid)
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+                                      c0=cfg.exc_c0)
+    lam, _ = engine.evaluate(f2, f3_major)
+    lam_ref = lattice_evaluate_loop(engine, f1, f2, f3_major)[0]
+    assert lam > 0
+    assert abs(lam - lam_ref) <= 1e-12 * lam_ref
 
 
 def test_cantor_intervals():
@@ -184,27 +210,6 @@ def test_run_sweep_deterministic():
         [(r.delta, r.lambda_model, r.lambda_direct) for r in b]
 
 
-def _same(x, y) -> bool:
-    return x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
-
-
-def test_run_sweep_threads_match(monkeypatch, tmp_path):
-    cfg = small_cfg(ratios=(0.5, 0.25))
-    monkeypatch.delenv("TFLAB_THREADS", raising=False)
-    serial = run_sweep(cfg)
-    monkeypatch.setenv("TFLAB_THREADS", "2")
-    parallel = run_sweep(cfg)
-    assert len(serial) == len(parallel) == 2
-    for a, b in zip(serial, parallel):
-        for f in dataclasses.fields(SweepRow):
-            assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
-    csvs = []
-    for name, rows in (("serial", serial), ("parallel", parallel)):
-        emit_report(rows, {}, tmp_path / f"{name}.csv", None)
-        csvs.append((tmp_path / f"{name}.csv").read_bytes())
-    assert csvs[0] == csvs[1]
-
-
 def test_run_sweep_cantor_family():
     rows = run_sweep(small_cfg(theorem="T1", set_family="cantor",
                                ratios=(0.25, 0.125)))
@@ -266,6 +271,7 @@ def test_engine_prune_decisions_match_mask(table):
     freqs = grid.freqs()
     pruned, kept = 0, []
     for s in engine.scales:
+        step = round(s / grid.spacing)
         for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
             xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
             got = band_energy(freqs, power, xi[0], cfg.eps / s)
@@ -273,14 +279,16 @@ def test_engine_prune_decisions_match_mask(table):
             if got / float(power.sum()) < 1e-12:
                 pruned += 1
                 continue
-            g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table)
+            # the translates start at the sample x = -pos_extent
+            r = grid.index_of(-cfg.pos_extent) % step
+            g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table, step, r)
             if g1 is not None:
-                kept.append((s, xi[1], xi[2], g1))
+                kept.append((s, step, r, xi[1], xi[2], g1))
     assert 0 < pruned < len(engine.scales) * (2 * cfg.m_xi_max + 1)
     assert len(engine.columns) == len(kept)
-    for (s, idx, xi2, xi3, g1), k in zip(engine.columns, kept):
-        assert (s, xi2, xi3) == k[:3]
-        assert np.array_equal(g1, k[3][idx])
+    for (s, step, r, slots, xi2, xi3, g1), k in zip(engine.columns, kept):
+        assert (s, step, r, xi2, xi3) == k[:5]
+        assert np.array_equal(g1, k[5][slots])
 
 
 # ---------------------------------------------------------------------------

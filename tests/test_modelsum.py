@@ -411,16 +411,22 @@ def test_profiles_match_bank(table_fine, wide_grid, wide_bank):
     f = GridFunction(wide_grid, rng.normal(size=wide_grid.n)
                      + 1j * rng.normal(size=wide_grid.n))
     fhat = np.fft.fft(f.values)
-    prof = coefficient_profile(fhat, wide_grid, 0.5, 2.0, 0.25,
-                               wide_bank.table)
     td = TopDatum(DyadicInterval(-1, 1), 2.0)
-    direct = wide_bank.coefficient(f, td)
     idx = wide_grid.index_of(td.interval.center)
-    assert prof[idx] == pytest.approx(direct, abs=1e-12)
-    # synthesis: a unit weight at that index reproduces the packet
-    w = np.zeros(wide_grid.n, complex)
-    w[idx] = 1.0
-    spec = synthesis_profile(w, wide_grid, 0.5, 2.0, 0.25, wide_bank.table)
+    # the translates of scale 1/2 on the grid, through that index
+    step = round(0.5 / wide_grid.spacing)
+    r, j = idx % step, idx // step
+    prof = coefficient_profile(fhat, wide_grid, 0.5, 2.0, 0.25,
+                               wide_bank.table, step, r)
+    direct = wide_bank.coefficient(f, td)
+    assert prof[j] == pytest.approx(direct, abs=1e-12)
+    # synthesis: a unit weight at that translate reproduces the packet
+    w = np.zeros(wide_grid.n // step, complex)
+    w[j] = 1.0
+    bins, values = synthesis_profile(w, wide_grid, 0.5, 2.0, 0.25,
+                                     wide_bank.table, r)
+    spec = np.zeros(wide_grid.n, complex)
+    spec[bins] = values
     syn = np.fft.ifft(spec) * (wide_grid.n / wide_grid.length)
     pk = wide_bank.packet(td).samples
     assert np.abs(syn - pk.values).max() <= 1e-10

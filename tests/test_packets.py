@@ -89,6 +89,16 @@ def _outcome(fn, *args):
         return ResolutionError
 
 
+def synthesis(weights, g, *args):
+    """synthesis_profile's band spectrum, scattered and inverted: the synthesis."""
+    band = synthesis_profile(weights, g, *args)
+    if band is None:
+        return None
+    spec = np.zeros(g.n, dtype=complex)
+    spec[band[0]] = band[1]
+    return np.fft.ifft(spec) * (g.n / g.length)
+
+
 @settings(max_examples=300, deadline=None)
 @given(band=packet_bands(), pos=st.integers(-4, 3), seed=st.integers(0, 2 ** 16))
 def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
@@ -106,18 +116,78 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
     f_hat = np.fft.fft(rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
     weights = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     scale = 2.0 ** j
-    # synthesis_profile returns the spectrum; inverted, it is the synthesis
-    def synthesis(*args):
-        spec = synthesis_profile(*args)
-        return None if spec is None else np.fft.ifft(spec) * (g.n / g.length)
-
-    for fast, full, data in ((coefficient_profile, coefficient_profile_full, f_hat),
-                             (synthesis, synthesis_profile_full, weights)):
-        a = fast(data, g, scale, xi, eps, table)
-        b = full(data, g, scale, xi, eps, table)
+    # at stride 1 and offset 0 the profiles fold nothing and carry no phase
+    for a, b in ((coefficient_profile(f_hat, g, scale, xi, eps, table, 1, 0),
+                  coefficient_profile_full(f_hat, g, scale, xi, eps, table)),
+                 (synthesis(weights, g, scale, xi, eps, table, 0),
+                  synthesis_profile_full(weights, g, scale, xi, eps, table))):
         assert (a is None) == (b is None) == (old is ResolutionError)
         if b is not None:
             assert np.array_equal(a, b)
+
+
+@st.composite
+def folded_draws(draw):
+    """(grid, scale, eps, xi, step, r): every scale from 4h to L, so the fold
+    size n/step runs from n/4 down to 1, and bands that straddle zero, sit
+    anywhere on the lattice (wrapping the fold many times), span about four
+    bins, or end at or one bin inside Nyquist."""
+    log2n = draw(st.integers(4, 12))
+    log2l = draw(st.integers(1, 6))
+    g = Grid(-2.0 ** (log2l - 1), 2.0 ** (log2l - 1), 2 ** log2n)
+    j = draw(st.integers(log2l - log2n + 2, log2l))
+    scale = 2.0 ** j
+    step = 2 ** (j - log2l + log2n)
+    r = draw(st.integers(1, step - 1))
+    kind = draw(st.sampled_from(["zero", "free", "nyquist", "four_bins"]))
+    if kind == "four_bins":
+        eps = min(4 * scale / g.length, 1.0)
+        eps = draw(st.sampled_from([e for e in (eps, np.nextafter(eps, 0),
+                                                np.nextafter(eps, 2)) if e <= 1]))
+    else:
+        eps = draw(st.floats(min(max(4 * scale / g.length, 1.0 / 64), 1.0), 1.0))
+    if kind == "zero":
+        xi = draw(st.floats(-eps / scale, eps / scale))
+    elif kind == "nyquist":
+        edge = g.nyquist - eps / (2 * scale)
+        xi = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from(
+            [edge, np.nextafter(edge, 0), edge - 1 / g.length]))
+    else:
+        xi = draw(st.floats(-g.nyquist, g.nyquist))
+    return g, scale, float(eps), float(xi), step, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=folded_draws(), pos=st.integers(-4, 3), seed=st.integers(0, 2 ** 16))
+def test_folded_profiles_match_full_length_builders(table, draw, pos, seed):
+    # the folded kernels sampled at the stride against the full-length
+    # builders, and canonical packets against theirs, bit for bit
+    g, scale, eps, xi, step, r = draw
+    td = TopDatum(DyadicInterval(int(math.log2(scale)), pos), xi)
+    new = _outcome(canonical_packet, td, eps, table, g)
+    old = _outcome(canonical_packet_full, td, eps, table, g)
+    if old is ResolutionError:
+        assert new is ResolutionError
+    else:
+        assert np.array_equal(new.samples.values, old.samples.values)
+
+    rng = np.random.default_rng(seed)
+    m = g.n // step
+    at = r + step * np.arange(m)
+    f_hat = np.fft.fft(rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    weights = rng.normal(size=m) + 1j * rng.normal(size=m)
+    spread = np.zeros(g.n, dtype=complex)
+    spread[at] = weights
+    a = coefficient_profile(f_hat, g, scale, xi, eps, table, step, r)
+    b = coefficient_profile_full(f_hat, g, scale, xi, eps, table)
+    assert (a is None) == (b is None) == (old is ResolutionError)
+    if b is not None:
+        assert np.abs(a - b[at]).max() <= 1e-12 * np.abs(b[at]).max()
+    a = synthesis(weights, g, scale, xi, eps, table, r)
+    b = synthesis_profile_full(spread, g, scale, xi, eps, table)
+    assert (a is None) == (b is None)
+    if b is not None:
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_packet_adaptedness_envelope(table, params):
