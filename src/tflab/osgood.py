@@ -37,7 +37,6 @@ class OsgoodParams:
     """
 
     lam: float
-    tau_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -91,13 +90,11 @@ class OsgoodParams:
         return float(out[0]) if scalar else out
 
     def b_u(self, tau: float) -> float:
-        """sup_t (1 + u(t)) exp(-tau t), sampled on a log grid and cached."""
+        """sup_t (1 + u(t)) exp(-tau t), sampled on a log grid."""
         if tau <= 0:
             raise ValueError("tau must be positive")
-        if tau not in self.tau_cache:
-            t = np.concatenate([[0.0], np.geomspace(1e-6, max(10.0, 200.0 / tau), 4000)])
-            self.tau_cache[tau] = float(np.max((1 + self.u(t)) * np.exp(-tau * t)))
-        return self.tau_cache[tau]
+        t = np.concatenate([[0.0], np.geomspace(1e-6, max(10.0, 200.0 / tau), 4000)])
+        return float(np.max((1 + self.u(t)) * np.exp(-tau * t)))
 
 
 def osgood_partial_integral(params: OsgoodParams, tol: float = 1e-3) -> Report:
@@ -158,29 +155,30 @@ class TabulatedOsgood:
 
 @dataclass(frozen=True)
 class InghamTable:
-    """Sampled window and spectrum, plus the mass profile of the mother bump.
+    """The Ingham window, held as the cumulative mass profile of its mother bump.
 
-    `spectrum_at` evaluates the spectrum v at arbitrary frequencies from the
-    cumulative mass profile of v0, which is what the wave-packet constructors
-    consume; `upsilon`/`spectrum` are fixed-grid views of the same objects.
+    `v0_mass` samples the integral of v0 at the cell edges v0_x0 + v0_h k.
+    `spectrum_at` evaluates the spectrum v at any frequency from it, which is
+    all the wave-packet constructors read; the window samples `upsilon` on
+    `grid` are built from it by one inverse FFT when first read.
     """
 
     params: OsgoodParams
-    grid: Grid                      # spatial grid of the sampled window
-    upsilon: GridFunction           # window samples on `grid`
-    spectrum: GridFunction          # v sampled on a frequency grid over [-1, 1)
     k_max: int
-    v0_mass: np.ndarray = field(repr=False)   # cumulative integral of v0 at cell edges
-    v0_x0: float = field(repr=False, default=-2.0)
-    v0_h: float = field(repr=False, default=0.0)
+    x_max: float                              # `grid` covers [-x_max, x_max)
+    v0_mass: np.ndarray = field(repr=False)
+    v0_x0: float = field(repr=False)
+    v0_h: float = field(repr=False)
 
     @cached_property
     def _edges(self) -> np.ndarray:
-        return _cell_edges(self.v0_mass, self.v0_x0, self.v0_h)
+        return self.v0_x0 + self.v0_h * np.arange(self.v0_mass.size)
 
     def spectrum_at(self, xi):
         """Spectrum v(xi) = mass of v0 on [3 xi - 1/2, 3 xi + 3/2], any xi."""
-        return _spectrum(xi, self._edges, self.v0_mass)
+        xi = np.asarray(xi, dtype=float)
+        return (np.interp(3 * xi + 1.5, self._edges, self.v0_mass)
+                - np.interp(3 * xi - 0.5, self._edges, self.v0_mass))
 
     def cutoff_at(self, x, width: float):
         """Smooth cutoff with plateau width/3 and support width, centered at 0.
@@ -190,37 +188,47 @@ class InghamTable:
         """
         return self.spectrum_at(np.asarray(x, dtype=float) / width)
 
+    @cached_property
+    def grid(self) -> Grid:
+        """Spatial grid of the window samples: at least 8 samples per unit length."""
+        n = 1 << max(4, math.ceil(math.log2(16 * self.x_max)))
+        return Grid(-self.x_max, self.x_max, n)
 
-def _cell_edges(mass: np.ndarray, x0: float, h: float) -> np.ndarray:
-    """The edges x0 + h k at which the cumulative mass of v0 is sampled."""
-    return x0 + h * np.arange(mass.size)
+    @cached_property
+    def upsilon(self) -> GridFunction:
+        """Window samples on `grid`: the inverse transform of v.
 
-
-def _spectrum(xi, edges: np.ndarray, mass: np.ndarray):
-    """v(xi) from the cumulative mass of v0 sampled at `edges`."""
-    xi = np.asarray(xi, dtype=float)
-    return np.interp(3 * xi + 1.5, edges, mass) - np.interp(3 * xi - 0.5, edges, mass)
+        v is sampled on the frequency lattice xi_k = k dxi, dxi = 1/(4 x_max),
+        whose nearest periodization alias sits at distance >= 3 x_max.  With
+        x_j = -x_max + 2 x_max j/n, x_j xi_k = -k/4 + jk/(2n), so the sum over
+        k is one inverse FFT of length 2n of the coefficients
+        (-i)^k v(xi_k) dxi placed at k mod 2n.
+        """
+        n = self.grid.n
+        dxi = 1.0 / (4.0 * self.x_max)
+        m_half = int(math.ceil(0.5 / dxi)) + 1
+        k = np.arange(-m_half, m_half + 1)
+        coef = np.zeros(2 * n, dtype=complex)
+        coef[k % (2 * n)] = (np.array([1, -1j, -1, 1j])[k % 4]
+                             * self.spectrum_at(k * dxi) * dxi)
+        return GridFunction(self.grid, np.fft.ifft(coef)[:n] * (2 * n))
 
 
 def _box_widths(params: OsgoodParams, h0: float, k_max: int | None) -> list[float]:
+    if k_max is not None and k_max < 2:
+        raise ValueError("k_max must be at least 2")
     widths = []
     k = 1
-    while True:
+    while k_max is None or k <= k_max:
         w = 1.0 / params.u(float(k))
         if w < h0 / 2:
             break
         widths.append(w)
         k += 1
-        if k_max is not None and k > k_max:
-            break
-    if k_max is not None:
-        if k_max < 2:
-            raise ValueError("k_max must be at least 2")
-        if k_max > len(widths):
-            raise ResolutionError(
-                f"grid spacing {h0} cannot resolve box width 1/u({len(widths) + 1}); "
-                f"requested k_max={k_max}")
-        widths = widths[:k_max]
+    if len(widths) < (k_max or 1):
+        raise ResolutionError(
+            f"grid spacing {h0} cannot resolve box width 1/u({len(widths) + 1}); "
+            f"requested k_max={k_max}")
     return widths
 
 
@@ -242,57 +250,29 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
     h0 = 4.0 / M
     widths = _box_widths(params, h0, k_max)
 
+    # v0 occupies m1 + sum(m - 1) cells from x = 0 (cell M/2) on: the
+    # recurrence runs on that window only, since every running sum left of it
+    # is exactly 0, and the full-length cumsum gives the same mass bit for bit
+    cells = [max(1, int(math.ceil(w / h0 - 1e-12))) for w in widths]
+    v0 = np.zeros(cells[0] + sum(m - 1 for m in cells[1:]))
+    v0[:cells[0]] = 1.0 / (cells[0] * h0)
+    for m in cells[1:]:
+        c = np.cumsum(v0)
+        v0[m:] = (c[m:] - c[:-m]) / m
+        v0[:m] = c[:m] / m
     v = np.zeros(M)
-    i0 = M // 2  # cell at x = 0
-    m1 = max(1, int(math.ceil(widths[0] / h0 - 1e-12)))
-    v[i0:i0 + m1] = 1.0 / (m1 * h0)
-    for w in widths[1:]:
-        m = max(1, int(math.ceil(w / h0 - 1e-12)))
-        c = np.cumsum(v)
-        out = np.empty_like(v)
-        out[:m] = c[:m] / m
-        out[m:] = (c[m:] - c[:-m]) / m
-        v = out
-
+    v[M // 2:M // 2 + v0.size] = v0
     mass = np.concatenate([[0.0], np.cumsum(v) * h0])
-
-    def v_at(xi):
-        # edges built per call: none is held while the window matrix below,
-        # the memory peak of the build, exists
-        return _spectrum(xi, _cell_edges(mass, -2.0, h0), mass)
-
-    freq_grid = Grid(-1.0, 1.0, grid_n)
-    spec = GridFunction(freq_grid, v_at(freq_grid.xs()) + 0j)
-
-    # window samples: inverse transform of v on a frequency lattice of spacing
-    # 1/(4 x_max); the nearest periodization alias sits at distance >= 3 x_max
-    sgrid = _spatial_grid(x_max)
-    dxi = 1.0 / (4.0 * x_max)
-    m_half = int(math.ceil(0.5 / dxi)) + 1
-    xi = dxi * np.arange(-m_half, m_half + 1)
-    ups = np.exp(2j * np.pi * np.outer(sgrid.xs(), xi)) @ v_at(xi) * dxi
-
-    return InghamTable(
-        params=params,
-        grid=sgrid,
-        upsilon=GridFunction(sgrid, ups),
-        spectrum=spec,
-        k_max=len(widths),
-        v0_mass=mass,
-        v0_x0=-2.0,
-        v0_h=h0,
-    )
-
-
-def _spatial_grid(x_max: float) -> Grid:
-    n = 1 << max(4, math.ceil(math.log2(16 * x_max)))
-    return Grid(-x_max, x_max, n)
+    return InghamTable(params, len(widths), x_max, mass, -2.0, h0)
 
 
 def verify_sandwich(table: InghamTable) -> Report:
-    """Max violation of 1_[-1/6,1/6] <= v <= 1_[-1/2,1/2] over the spectrum grid."""
-    xi = table.spectrum.grid.xs()
-    v = table.spectrum.values.real
+    """Max violation of 1_[-1/6,1/6] <= v <= 1_[-1/2,1/2] on Grid(-1, 1, grid_n).
+
+    grid_n is the table's build resolution: v0's mass profile has 4 grid_n cells.
+    """
+    xi = Grid(-1.0, 1.0, (table.v0_mass.size - 1) // 4).xs()
+    v = table.spectrum_at(xi)
     inner = np.abs(xi) <= 1.0 / 6.0 + 1e-12
     outer = np.abs(xi) >= 0.5 - 1e-12
     lower = float(max(0.0, np.max(1.0 - v[inner])))

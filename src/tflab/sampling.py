@@ -68,7 +68,7 @@ class Grid:
         i = int(round(t))
         if abs(t - i) > 1e-9:
             raise ValueError(f"{x} is not a sample point of {self}")
-        if not 0 <= i <= self.n:
+        if not 0 <= i < self.n:
             raise ValueError(f"{x} outside grid domain")
         return i
 

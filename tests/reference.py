@@ -11,6 +11,7 @@ import numpy as np
 
 from tflab.errors import ResolutionError
 from tflab.lab import _bump, cantor_intervals, random_collection, random_signal
+from tflab.osgood import _box_widths
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (DyadicInterval, Grid, GridFunction, IntervalSet,
                             dyadic_cover, grid_dyadic_scales, lp_norm)
@@ -57,6 +58,38 @@ def maximal_function_blocks(f: GridFunction, p: float) -> GridFunction:
 def maximal_function_brute(f: GridFunction, p: float) -> GridFunction:
     """Supremum over ALL grid-aligned windows (O(n^2) time)."""
     return _maximal_windows(f, p, range(1, f.grid.n + 1))
+
+
+# the Ingham window: the running-mean recurrence over the whole 4x grid, and
+# the window samples as one complex matrix-vector product
+
+def ingham_mass_full(params, k_max, grid_n: int):
+    """(v0_mass, k_max) of `build_ingham`, each running mean over all 4 grid_n cells."""
+    if grid_n < 16 or grid_n & (grid_n - 1):
+        raise ValueError("grid_n must be a power of two >= 16")
+    M = 4 * grid_n
+    h0 = 4.0 / M
+    widths = _box_widths(params, h0, k_max)
+    v = np.zeros(M)
+    i0 = M // 2
+    m1 = max(1, int(math.ceil(widths[0] / h0 - 1e-12)))
+    v[i0:i0 + m1] = 1.0 / (m1 * h0)
+    for w in widths[1:]:
+        m = max(1, int(math.ceil(w / h0 - 1e-12)))
+        c = np.cumsum(v)
+        out = np.empty_like(v)
+        out[:m] = c[:m] / m
+        out[m:] = (c[m:] - c[:-m]) / m
+        v = out
+    return np.concatenate([[0.0], np.cumsum(v) * h0]), len(widths)
+
+
+def window_samples_matrix(table) -> np.ndarray:
+    """upsilon(x_j) = sum_k exp(2 pi i x_j xi_k) v(xi_k) dxi, by the full matrix."""
+    dxi = 1.0 / (4.0 * table.x_max)
+    m_half = int(math.ceil(0.5 / dxi)) + 1
+    xi = dxi * np.arange(-m_half, m_half + 1)
+    return np.exp(2j * np.pi * np.outer(table.grid.xs(), xi)) @ table.spectrum_at(xi) * dxi
 
 
 def cover_count_loop(grid: Grid, bands) -> np.ndarray:

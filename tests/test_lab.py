@@ -14,6 +14,7 @@ from tflab.lab import (FIELDS, THEOREMS, SweepConfig, SweepRow, _f1, _family,
                        emit_report, fit_growth, in_hexagon, run_sweep,
                        run_tree_suite, star, suite_direction)
 from tflab.modelsum import coefficient_profile
+from tflab.osgood import InghamTable
 from tflab.sampling import Grid, GridFunction
 from tflab.timefreq import exceptional_sets
 
@@ -200,6 +201,15 @@ def test_run_sweep_smoke(theorem):
         assert r.f3_major_fraction >= 0.25
         assert math.isfinite(r.ratio) and r.ratio >= 0
         assert r.lambda_model >= 0 and r.lambda_direct >= 0
+
+
+def test_run_sweep_never_builds_window_samples(monkeypatch):
+    # sweeps read the window through spectrum_at only
+    def refuse(self):
+        raise AssertionError("run_sweep read InghamTable.upsilon")
+    monkeypatch.setattr(InghamTable, "upsilon", property(refuse))
+    rows = run_sweep(small_cfg(theorem="C15", ratios=(0.5,)))
+    assert [r.status for r in rows] == ["ok"]
 
 
 def test_run_sweep_deterministic():

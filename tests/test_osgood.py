@@ -1,8 +1,14 @@
+import copy
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import ingham_mass_full, window_samples_matrix
 from tflab.errors import ResolutionError
 from tflab.osgood import (OsgoodParams, TabulatedOsgood, build_ingham,
                           osgood_partial_integral, verify_decay,
@@ -82,9 +88,11 @@ def test_osgood_partial_integral(params):
 def test_b_u_cached(params):
     v = params.b_u(2.0)
     assert v > 0 and math.isfinite(v)
-    assert params.tau_cache[2.0] == v
     with pytest.raises(ValueError):
         params.b_u(0.0)
+    # a replaced lam gets its own value, not the original's
+    assert params.b_u(0.5) == pytest.approx(4.602, abs=1e-3)
+    assert dataclasses.replace(params, lam=3.0).b_u(0.5) == pytest.approx(4.193, abs=1e-3)
 
 
 def test_tabulated_osgood():
@@ -126,6 +134,34 @@ def test_explicit_kmax_errors(params):
         build_ingham(params, k_max=1, grid_n=2 ** 10)
     with pytest.raises(ResolutionError):
         build_ingham(params, k_max=10 ** 6, grid_n=2 ** 10)
+    # not even 1/u(1) spans half a cell
+    with pytest.raises(ResolutionError, match=r"1/u\(1\)"):
+        build_ingham(OsgoodParams(20.0), grid_n=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.05, 30.0), log2_n=st.integers(4, 12),
+       k_max=st.none() | st.integers(2, 600))
+def test_build_ingham_matches_full_recurrence(lam, log2_n, k_max):
+    # the recurrence on v0's support window gives the full-grid mass bit for bit
+    params = OsgoodParams(lam)
+    try:
+        want = ingham_mass_full(params, k_max, 2 ** log2_n)
+    except (ValueError, ResolutionError) as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            build_ingham(params, k_max=k_max, grid_n=2 ** log2_n)
+        return
+    table = build_ingham(params, k_max=k_max, grid_n=2 ** log2_n)
+    assert np.array_equal(table.v0_mass, want[0])
+    assert table.k_max == want[1]
+
+
+@pytest.mark.parametrize("x_max", [0.3, 5.7, 16.0, 100.0, 128.0])
+def test_window_samples_match_matrix(params, x_max):
+    table = build_ingham(params, grid_n=2 ** 10, x_max=x_max)
+    want = window_samples_matrix(table)
+    got = table.upsilon.values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0, -8.0])
@@ -149,10 +185,15 @@ def test_decay_envelope_passes(table):
     assert rep.stats["ratio"] <= 1.1
 
 
+def with_window(table, values):
+    """A copy of `table` whose window samples are `values`."""
+    t2 = copy.copy(table)
+    vars(t2)["upsilon"] = GridFunction(table.grid, values)
+    return t2
+
+
 def test_decay_zero_function(table):
-    import dataclasses
-    zero = GridFunction(table.grid, np.zeros(table.grid.n, complex))
-    t2 = dataclasses.replace(table, upsilon=zero)
+    t2 = with_window(table, np.zeros(table.grid.n, complex))
     rep = verify_decay(t2, a=0.01, x_max=30.0)
     assert rep.stats["sup_base"] == 0.0
 
@@ -160,10 +201,9 @@ def test_decay_zero_function(table):
 def test_decay_detects_excessive_rate(table, params):
     # a table whose window decays exactly like exp(-U/100) cannot support
     # rate 1: the envelope grows across the doubled window and is flagged
-    import dataclasses
     xs = table.grid.xs()
     slow = np.exp(-params.big_u(xs) / 100.0) + 0j
-    t2 = dataclasses.replace(table, upsilon=GridFunction(table.grid, slow))
+    t2 = with_window(table, slow)
     assert verify_decay(t2, a=0.01, x_max=30.0).passed
     rep = verify_decay(t2, a=1.0, x_max=30.0)
     assert not rep.passed
@@ -194,7 +234,6 @@ def test_spectrum_at_matches_per_call_edges(table):
         assert np.array_equal(table.spectrum_at(xi), per_call(table, xi))
     assert table.spectrum_at(0.1) == per_call(table, 0.1)
     # a replaced table builds its own edges
-    import dataclasses
     t2 = dataclasses.replace(table, v0_x0=table.v0_x0 + 0.25)
     assert np.array_equal(t2.spectrum_at(on_edges), per_call(t2, on_edges))
     assert not np.array_equal(t2.spectrum_at(on_edges), table.spectrum_at(on_edges))

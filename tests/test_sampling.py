@@ -34,6 +34,16 @@ def test_grid_validation():
         g.index_of(0.3)
 
 
+def test_index_of_half_open():
+    # the grid covers [x0, x1): x0 is sample 0, x1 is no sample
+    g = Grid(-2.0, 2.0, 8)
+    assert g.index_of(-2.0) == 0
+    assert g.index_of(1.5) == 7
+    for x in (2.0, -2.5):
+        with pytest.raises(ValueError, match="outside"):
+            g.index_of(x)
+
+
 def test_gridfunction_validation():
     g = Grid(-1.0, 1.0, 8)
     with pytest.raises(ValueError):
