@@ -24,10 +24,19 @@ from .osgood import InghamTable, OsgoodParams, build_ingham
 from .packets import PacketBank
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
                        Report, lp_norm)
-from .timefreq import (Tritile, _SizeContext, exceptional_sets,
+from .timefreq import (BETA, Tritile, _SizeContext, exceptional_sets,
                        gamma_from_beta, thin_well_discretized, validate_tree)
 
 THEOREMS = ("T1", "T2", "T3", "C15")
+
+#: middle-thirds depth of the "cantor" set family
+CANTOR_DEPTH = 3
+#: engine translates cover [-POS_EXTENT, POS_EXTENT]
+POS_EXTENT = 8.0
+#: threshold constant for the exceptional sets: any value passing the
+#: majority check is admissible; a large one shrinks the excluded buffer and
+#: probes the sharpness of the growth law
+EXC_C0 = 64.0
 
 #: hexagon of admissible exponent triples
 def in_hexagon(alpha) -> bool:
@@ -46,24 +55,16 @@ class SweepConfig:
     theorem: str = "T1"
     alpha: tuple[float, float, float] | None = None
     set_family: str = "interval"        # or "cantor"
-    cantor_depth: int = 3
     ratios: tuple[float, ...] = tuple(2.0 ** -j for j in range(1, 11))
     grid_n: int = 2 ** 15
     domain: float = 32.0
     eps: float = 2.0 ** -4
     seed: int = 0
-    beta: tuple[float, float, float] = (0.0, -2.0 ** -0.5, 2.0 ** -0.5)
     m_xi_max: int = 64
     scale_log2_min: int = -10
     scale_log2_max: int = 2
-    pos_extent: float = 8.0
-    lam_family: float = 1.0
     ingham_grid_n: int = 2 ** 13
     oracle_n: int = 2 ** 12
-    # threshold constant for the exceptional sets: any value passing the
-    # majority check is admissible; a large one shrinks the excluded buffer
-    # and probes the sharpness of the growth law
-    exc_c0: float = 64.0
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
@@ -142,8 +143,8 @@ def _f1(cfg: SweepConfig, grid: Grid) -> GridFunction:
 def _family(cfg: SweepConfig, delta: float, grid: Grid):
     """(f2, F3 set, |F2|) per the theorem's restriction pattern."""
     if cfg.set_family == "cantor":
-        scale = 1.5 ** cfg.cantor_depth
-        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), cfg.cantor_depth)
+        scale = 1.5 ** CANTOR_DEPTH
+        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), CANTOR_DEPTH)
     else:
         f2_set = IntervalSet.from_pairs([(0.0, delta)])
     if cfg.theorem == "T3":
@@ -217,7 +218,7 @@ class _LatticeEngine:
         self.cfg = cfg
         self.grid = grid
         self.table = table
-        self.beta = np.asarray(cfg.beta, dtype=float)
+        self.beta = np.asarray(BETA, dtype=float)
         self.gamma = gamma_from_beta(self.beta)
         self.scales = [2.0 ** j for j in
                        range(cfg.scale_log2_max, cfg.scale_log2_min - 1, -1)
@@ -227,8 +228,8 @@ class _LatticeEngine:
         freqs = grid.freqs()
         power = np.abs(fh1) ** 2
         total = float(power.sum())
-        lo = int(round((-cfg.pos_extent - grid.x0) / grid.spacing))
-        hi = int(round((cfg.pos_extent - grid.x0) / grid.spacing))
+        lo = int(round((-POS_EXTENT - grid.x0) / grid.spacing))
+        hi = int(round((POS_EXTENT - grid.x0) / grid.spacing))
         self.columns = []
         for s in self.scales:
             step = round(s / grid.spacing)
@@ -281,14 +282,13 @@ def _oracle_value(cfg: SweepConfig, f1: GridFunction, f2: GridFunction,
     small = Grid(grid.x0, grid.x1, grid.n // stride)
     def down(f):
         return GridFunction(small, f.values[::stride].copy())
-    return abs(lambda_direct(down(f1), down(f2), down(f3), cfg.beta,
+    return abs(lambda_direct(down(f1), down(f2), down(f3), BETA,
                              t_max=grid.length / 4))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per ratio; failed rows are marked in `status`, never dropped."""
-    params = OsgoodParams(cfg.lam_family)
-    table = build_ingham(params, grid_n=cfg.ingham_grid_n)
+    table = build_ingham(OsgoodParams(1.0), grid_n=cfg.ingham_grid_n)
     grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
     alpha = cfg.resolved_alpha()
     f1 = _f1(cfg, grid)
@@ -298,7 +298,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     def one(delta: float) -> SweepRow:
         try:
             f2, f3_set, f2_measure = _family(cfg, delta, grid)
-            _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=cfg.exc_c0)
+            _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=EXC_C0)
             frac = f3_major.measure / f3_set.measure
             lam_model, f3 = engine.evaluate(f2, f3_major)
             lam_direct = _oracle_value(cfg, f1, f2, f3)
@@ -374,7 +374,8 @@ def emit_report(rows: list[SweepRow], fits: dict[str, tuple[float, float]],
     return 0
 
 
-def _write_svg(rows, fits, path, width=640, height=440) -> None:
+def _write_svg(rows, fits, path) -> None:
+    width, height, pad = 640, 440, 50
     xs = np.log10([r.delta for r in rows])
     ys = np.log10([r.ratio for r in rows])
     x0, x1 = float(xs.min()), float(xs.max())
@@ -383,7 +384,6 @@ def _write_svg(rows, fits, path, width=640, height=440) -> None:
         x1 = x0 + 1.0
     if y1 - y0 < 1e-9:
         y1 = y0 + 1.0
-    pad = 50
 
     def px(x):
         return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
@@ -429,14 +429,19 @@ def _write_svg(rows, fits, path, width=640, height=440) -> None:
 # ---------------------------------------------------------------------------
 # randomized tree/forest audit suite (shared by tests and the CLI)
 
-def suite_direction(g1: float = 0.0577) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, gamma) with small first gamma component.
+#: frequency-window constant R of the audit suite's collections and trees
+SUITE_R_CONST = 32.0
+
+
+def suite_direction() -> tuple[np.ndarray, np.ndarray]:
+    """(beta, gamma) with small first gamma component g1 = 0.0577.
 
     Multi-scale nesting under the structural dichotomy needs the per-scale
     frequency drift 1/(sqrt(3)|gamma_1|) inside a window fixed by the scale
     gap and R; small gamma_1 realizes it at the cost of a smaller (but still
     positive) distance to the degenerate directions.
     """
+    g1 = 0.0577
     a = (-g1 + math.sqrt(2.0 - 3.0 * g1 * g1)) / 2.0
     gamma = np.array([g1, a, -g1 - a])
     n = np.ones(3) / math.sqrt(3.0)
@@ -445,7 +450,6 @@ def suite_direction(g1: float = 0.0577) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_collection(rng: np.random.Generator, grid: Grid,
-                      r_const: float = 32.0,
                       scales: tuple[int, ...] = (2, 0, -2)) -> list[Tritile]:
     """Random well-discretized tritile collection containing multi-scale trees.
 
@@ -471,7 +475,7 @@ def random_collection(rng: np.random.Generator, grid: Grid,
         for pos in rng.choice(np.arange(-span, span), size=take, replace=False):
             cands.append(Tritile(DyadicInterval(m, int(pos)), bands,
                                  coeff=complex(np.exp(2j * np.pi * rng.uniform()))))
-    return thin_well_discretized(cands, r_const=r_const)
+    return thin_well_discretized(cands, r_const=SUITE_R_CONST)
 
 
 def random_tree(rng: np.random.Generator, grid: Grid):
@@ -489,7 +493,7 @@ def random_tree(rng: np.random.Generator, grid: Grid):
     xi_t = anchor.freqs[0].center
     lac = {}
     for k in (2, 3):
-        w = lacunary_frequency(members, k, r_const=32.0)
+        w = lacunary_frequency(members, k, r_const=SUITE_R_CONST)
         if w is not None:
             lac[k] = w
     return Tree(TopDatum(top, xi_t), members, 1, lac)

@@ -26,6 +26,9 @@ from .sampling import (Band, DyadicInterval, GridFunction, IntervalSet, Report,
 
 log = logging.getLogger(__name__)
 
+#: relative singular-value cutoff of the least-squares projections
+RCOND = 1e-8
+
 
 @dataclass
 class MfczSplit:
@@ -52,12 +55,12 @@ class MfczSplit:
         return self.good + self.bad()
 
 
-def riesz_project(h: GridFunction, window: Band, freqs: np.ndarray,
-                  rcond: float = 1e-8) -> tuple[GridFunction, GridFunction]:
+def riesz_project(h: GridFunction, window: Band,
+                  freqs: np.ndarray) -> tuple[GridFunction, GridFunction]:
     """L2(window) least-squares projection of h onto span{exp(2 pi i z x)}.
 
     h must vanish outside the window.  Rank deficiency beyond the spectral
-    cutoff is regularized (pseudo-inverse) and logged, never raised.
+    cutoff RCOND is regularized (pseudo-inverse) and logged, never raised.
     """
     grid = h.grid
     sl = grid.slice_of(window.lo, window.hi)
@@ -69,7 +72,7 @@ def riesz_project(h: GridFunction, window: Band, freqs: np.ndarray,
         return GridFunction(grid, np.zeros(grid.n, complex)), h
     xs = grid.xs()[sl]
     a = np.exp(2j * np.pi * np.outer(xs, freqs))
-    coef, _, rank, _ = np.linalg.lstsq(a, h.values[sl], rcond=rcond)
+    coef, _, rank, _ = np.linalg.lstsq(a, h.values[sl], rcond=RCOND)
     if rank < freqs.size:
         log.info("projection rank %d < %d frequencies; spectral cutoff applied",
                  rank, freqs.size)
@@ -86,7 +89,7 @@ def asymptotic_big_c(rate: float) -> float:
 
 def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
                    p: float, params: OsgoodParams, *, eps: float = 0.25,
-                   big_c: float = 1.0, rcond: float = 1e-8) -> MfczSplit:
+                   big_c: float = 1.0) -> MfczSplit:
     """Split f = g + sum b_Q adapted to the top data at overlap level k.
 
     K = big_c * k; the asymptotic multiplier 1000/a makes the dilated windows
@@ -139,7 +142,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
         sl = grid.slice_of(q.lo, q.hi)
         fq_vals[sl] = f.values[sl]
         fq = GridFunction(grid, fq_vals)
-        g_q, b_q = riesz_project(fq, tq, freqs, rcond=rcond)
+        g_q, b_q = riesz_project(fq, tq, freqs)
         good = good + g_q.values
         bad_parts[q] = b_q
         fq_norm = local_norm(f, q.lo, q.hi, p)

@@ -39,8 +39,8 @@ class OsgoodParams:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         t = np.linspace(0.0, 50.0, 201)
         ut = self.u(t)
         if not (np.all(np.diff(ut) > 0) and np.all(np.diff(ut, 2) > -1e-12)):
@@ -97,14 +97,15 @@ class OsgoodParams:
         return float(np.max((1 + self.u(t)) * np.exp(-tau * t)))
 
 
-def osgood_partial_integral(params: OsgoodParams, tol: float = 1e-3) -> Report:
-    """Quadrature check of the normalization int_0^inf dt/u(t) = 1.
+def osgood_partial_integral(params: OsgoodParams) -> Report:
+    """Quadrature check of the normalization int_0^inf dt/u(t) = 1 to 1e-3.
 
     Works in the substituted variable s = log(t+e), where the integrand of the
     u-family is lam * s^(-1-lam); the horizon grows by octaves until the
     remaining tail drops below tol/10.  (A fixed horizon T = u(1e6) leaves a
     tail of about 0.05 for lam = 1, far above tol, so the horizon is adaptive.)
     """
+    tol = 1e-3
     lam = params.lam
 
     def block(a: float, b: float) -> float:
@@ -153,14 +154,15 @@ class TabulatedOsgood:
 # ---------------------------------------------------------------------------
 # the window table
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InghamTable:
     """The Ingham window, held as the cumulative mass profile of its mother bump.
 
     `v0_mass` samples the integral of v0 at the cell edges v0_x0 + v0_h k.
     `spectrum_at` evaluates the spectrum v at any frequency from it, which is
     all the wave-packet constructors read; the window samples `upsilon` on
-    `grid` are built from it by one inverse FFT when first read.
+    `grid` are built from it by one inverse FFT when first read.  Tables
+    compare and hash by identity.
     """
 
     params: OsgoodParams

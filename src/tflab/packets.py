@@ -56,7 +56,10 @@ class WavePacket:
     datum: TopDatum
     epsilon: float
     samples: GridFunction
-    center_freq: float
+
+    @property
+    def center_freq(self) -> float:
+        return self.datum.xi
 
     @property
     def rate(self) -> float:
@@ -69,13 +72,13 @@ class WavePacket:
         return Band(self.center_freq - half, self.center_freq + half)
 
 
-def _band_check(grid: Grid, xi: float, bandwidth: float, min_bins: int = 4) -> None:
+def _band_check(grid: Grid, xi: float, bandwidth: float) -> None:
     if abs(xi) + bandwidth / 2 >= grid.nyquist:
         raise ResolutionError(
             f"band at {xi} (width {bandwidth}) exceeds Nyquist {grid.nyquist}")
-    if bandwidth * grid.length < min_bins:
+    if bandwidth * grid.length < 4:
         raise ResolutionError(
-            f"band width {bandwidth} spans fewer than {min_bins} frequency bins "
+            f"band width {bandwidth} spans fewer than 4 frequency bins "
             f"on a grid of length {grid.length}")
 
 
@@ -126,7 +129,7 @@ def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
     hat[bins] = values
     hat = hat * np.exp(-2j * np.pi * grid.freqs() * (td.interval.center - grid.x0))
     vals = np.fft.ifft(hat) * (grid.n / grid.length)
-    return WavePacket(td, eps, GridFunction(grid, vals), td.xi)
+    return WavePacket(td, eps, GridFunction(grid, vals))
 
 
 def tile_packet(tile: Tile, eps: float, table: InghamTable, grid: Grid) -> WavePacket:
@@ -194,14 +197,13 @@ def split_truncate(phi: WavePacket, K: float, table: InghamTable,
 
 
 def split_meanzero(phi: WavePacket, K: float, xi0: float, table: InghamTable,
-                   r_const: float = R_CONST, snap: bool = True,
                    clamp: bool = False) -> tuple[GridFunction, GridFunction]:
     """Truncation split that keeps exact zero average against exp(2 pi i xi0 x).
 
     xi0 must sit outside the unit band of the packet after rescaling:
-    1/2 < |I| |xi0 - xi_J| <= r_const / 2.  With snap=True (default) xi0 is
-    moved to the nearest discrete frequency of the grid, which makes the zero
-    average of BOTH output pieces exact at quadrature level.
+    1/2 < |I| |xi0 - xi_J| <= R_CONST / 2.  xi0 is then moved to the nearest
+    discrete frequency of the grid, which makes the zero average of BOTH
+    output pieces exact at quadrature level.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -211,11 +213,10 @@ def split_meanzero(phi: WavePacket, K: float, xi0: float, table: InghamTable,
     if d <= 0.5:
         raise ValueError(
             f"xi0 = {xi0} lies inside the forbidden unit band of the packet")
-    if d > r_const / 2:
+    if d > R_CONST / 2:
         raise ValueError(
             f"xi0 = {xi0} outside the admissible window (|I| dist = {d} > R/2)")
-    if snap:
-        xi0 = grid.snap_frequency(xi0)
+    xi0 = grid.snap_frequency(xi0)
     width = _window_width(phi, K, table, clamp)
     xs = grid.xs()
     w = phi.samples.values * np.exp(-2j * np.pi * xi0 * xs)

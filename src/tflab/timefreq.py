@@ -27,6 +27,10 @@ from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
 
 log = logging.getLogger(__name__)
 
+#: the lattice direction beta: unit length, orthogonal to (1, 1, 1), and with
+#: distinct components
+BETA = (0.0, -2.0 ** -0.5, 2.0 ** -0.5)
+
 
 # ---------------------------------------------------------------------------
 # tritiles, trees, forests
@@ -153,37 +157,33 @@ def gamma_from_beta(beta: np.ndarray) -> np.ndarray:
     return np.cross(beta, np.ones(3) / math.sqrt(3.0))
 
 
-def build_tritile_lattice(m_sigma, m_x, m_xi, theta=(0.0, 0.0, 0.0),
-                          beta=(0.0, -2**-0.5, 2**-0.5),
+def build_tritile_lattice(m_sigma, m_x, m_xi,
                           dil: float = 1.0 + 2.0**-16) -> list[Tritile]:
-    """Lattice tritiles with spatial scale dil^(m_sigma + theta_sigma).
+    """Lattice tritiles with spatial scale dil^m_sigma in the direction BETA.
 
     Spatial intervals are snapped to the nearest dyadic scale and position so
     that downstream dyadic machinery applies exactly; frequency bands use the
-    snapped length, keeping every tile area exactly 1.  With dil = 2 and
-    theta = 0 the snapping is the identity on scales.
+    snapped length, keeping every tile area exactly 1.  With dil = 2 the
+    snapping is the identity on scales.
     """
     if dil <= 1.0:
         raise ValueError("dil must exceed 1")
-    gamma = gamma_from_beta(np.asarray(beta, dtype=float))
-    beta = np.asarray(beta, dtype=float)
-    th_s, th_x, th_xi = theta
+    beta = np.asarray(BETA, dtype=float)
+    gamma = gamma_from_beta(beta)
     out: dict = {}
     for ms in m_sigma:
-        ell_nom = dil ** (ms + th_s)
+        ell_nom = dil ** ms
         scale = round(math.log2(ell_nom))
         ell = math.ldexp(1.0, scale)
         for mx in m_x:
-            center = ell_nom * (mx + th_x)
-            pos = round(center / ell - 0.5)
+            pos = round(ell_nom * mx / ell - 0.5)
             space = DyadicInterval(scale, pos)
             for mxi in m_xi:
                 bands = []
                 for j in range(3):
-                    c = (gamma[j] * (mxi + th_xi) + beta[j]) / ell
+                    c = (gamma[j] * mxi + beta[j]) / ell
                     bands.append(Band(c - 0.5 / ell, c + 0.5 / ell))
-                s = Tritile(space, tuple(bands))
-                out[(scale, pos, round((mxi + th_xi) * 2**20))] = s
+                out[(scale, pos, mxi)] = Tritile(space, tuple(bands))
     return list(out.values())
 
 
@@ -251,15 +251,28 @@ def thin_well_discretized(S, r_const: float = R_CONST) -> list[Tritile]:
 
     Raw lattices are only finite unions of well-discretized families; this
     picks one such family by keeping each tritile that is compatible with
-    everything already kept, scanning coarse scales first.
+    everything already kept, scanning coarse scales first.  Whether a pair
+    is compatible depends only on the two frequency columns (bands and
+    scale) and on whether the intervals are equal, so it is decided once
+    per such key.
     """
     order = sorted(S, key=lambda s: (-s.space.scale, s.space.pos,
                                      s.freqs[0].lo))
-    kept: list[Tritile] = []
-    for s in order:
-        if all(not _pair_violations(s, t, r_const) for t in kept):
-            kept.append(s)
-    return kept
+    columns: dict = {}
+    col = [columns.setdefault((s.freqs, s.space.scale), len(columns))
+           for s in order]
+    compatible: dict = {}
+    kept: list[int] = []
+    for i, s in enumerate(order):
+        for k in kept:
+            key = (col[i], col[k], s.space == order[k].space)
+            if key not in compatible:
+                compatible[key] = not _pair_violations(s, order[k], r_const)
+            if not compatible[key]:
+                break
+        else:
+            kept.append(i)
+    return [order[k] for k in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +432,10 @@ def single_tree_bound(tree: Tree, f1: GridFunction, f2: GridFunction,
 # ---------------------------------------------------------------------------
 # greedy selection (size lemma) and the iterated decomposition
 
+#: halving rounds of `f3_decompose` before the rest goes to the remainder
+HALVING_ROUNDS = 60
+
+
 def size_lemma_split(S, f: GridFunction, j: int, sigma: float,
                      bank: PacketBank) -> tuple[list[Tritile], Forest]:
     """Extract trees of slot-j block value > sigma/2; the rest has size <= sigma/2.
@@ -441,9 +458,8 @@ def _make_tree(top: DyadicInterval, xi: float, members, j: int) -> Tree:
     return Tree(TopDatum(top, xi), members, j, lac)
 
 
-def f3_decompose(S, f3: GridFunction, bank: PacketBank,
-                 max_rounds: int = 60) -> list[Forest]:
-    """Iterated halving of the slot-3 size into forests at levels k = 0, 1, ...
+def f3_decompose(S, f3: GridFunction, bank: PacketBank) -> list[Forest]:
+    """Iterated halving of the slot-3 size into forests at levels k < 60.
 
     Level k trees have block value in (sigma0 2^-(k+1), sigma0 2^-k] where
     sigma0 is the initial size; tritiles invisible to f3 (size zero) end in a
@@ -454,7 +470,7 @@ def f3_decompose(S, f3: GridFunction, bank: PacketBank,
     ctx = _SizeContext.of(S, f3, 3, bank)
     sigma = ctx.size
     out: list[Forest] = []
-    for k in range(max_rounds):
+    for k in range(HALVING_ROUNDS):
         if ctx.size == 0.0:
             break
         ctx, forest = ctx.split(sigma)
@@ -470,21 +486,20 @@ def f3_decompose(S, f3: GridFunction, bank: PacketBank,
 # ---------------------------------------------------------------------------
 # counting-function split
 
-def counting_split(forest: Forest, k: int, params: OsgoodParams, grid: Grid,
-                   *, thr_inf_exp: float = 2.0,
-                   big_c: float = 1.0) -> tuple[Forest, Forest]:
+def counting_split(forest: Forest, k: int, params: OsgoodParams,
+                   grid: Grid) -> tuple[Forest, Forest]:
     """Partition into a bounded-overlap part and a peeled remainder.
 
     Iterated level-set peeling: the first maximal-dyadic level set of the
-    dilated counting function above the threshold 2^(thr_inf_exp k) separates
-    the good trees (dilated tops not inside the set); re-thresholding at the
-    same level peels the remainder into the small part.  Only this L-infinity
-    threshold is applied: the L1 norm of the small part is not bounded here
-    (`forest_counting_norms` measures it).  The proof's exponent (4k) is far
-    outside desk scale.
+    counting function of the tops dilated by 3 u(k), above the threshold
+    2^(2k), separates the good trees (dilated tops not inside the set);
+    re-thresholding at the same level peels the remainder into the small part.
+    Only this L-infinity threshold is applied: the L1 norm of the small part
+    is not bounded here (`forest_counting_norms` measures it).  The proof's
+    exponent (4k) is far outside desk scale.
     """
-    dilate = 3.0 * params.u(big_c * k)
-    peel = 2.0 ** (thr_inf_exp * k)
+    dilate = 3.0 * params.u(k)
+    peel = 2.0 ** (2 * k)
     stock = list(forest.trees)
     good: list[Tree] = []
     small: list[Tree] = []
@@ -515,9 +530,9 @@ def counting_split(forest: Forest, k: int, params: OsgoodParams, grid: Grid,
 
 
 def forest_counting_norms(forest: Forest, grid: Grid, params: OsgoodParams,
-                          k: int, big_c: float = 1.0) -> tuple[float, float]:
+                          k: int) -> tuple[float, float]:
     """(sup of the dilated counting function, L1 norm of the plain one)."""
-    dil = 3.0 * params.u(big_c * k)
+    dil = 3.0 * params.u(k)
     n_inf = forest.counting(grid, dilate=dil).max() if forest.trees else 0.0
     n_one = float(forest.counting(grid).sum() * grid.spacing)
     return float(n_inf), n_one

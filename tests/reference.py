@@ -10,12 +10,14 @@ import math
 import numpy as np
 
 from tflab.errors import ResolutionError
-from tflab.lab import _bump, cantor_intervals, random_collection, random_signal
+from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, _bump, cantor_intervals,
+                       random_collection, random_signal)
 from tflab.osgood import _box_widths
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (DyadicInterval, Grid, GridFunction, IntervalSet,
                             dyadic_cover, grid_dyadic_scales, lp_norm)
-from tflab.timefreq import Forest, Tree, _make_tree, validate_tree
+from tflab.timefreq import (HALVING_ROUNDS, Forest, Tree, _make_tree,
+                            _pair_violations, validate_tree)
 
 
 def sliding_max_blocks(a: np.ndarray, m: int) -> np.ndarray:
@@ -168,7 +170,7 @@ def canonical_packet_full(td: TopDatum, eps: float, table,
         raise ResolutionError("packet band misses every frequency bin")
     hat = (hat / norm) * np.exp(-2j * np.pi * zeta * (td.interval.center - grid.x0))
     vals = np.fft.ifft(hat) * (grid.n / grid.length)
-    return WavePacket(td, eps, GridFunction(grid, vals), td.xi)
+    return WavePacket(td, eps, GridFunction(grid, vals))
 
 
 def coefficient_profile_full(f_hat, grid: Grid, scale: float, xi: float,
@@ -251,8 +253,8 @@ def sweep_family_per_row(cfg, delta: float, grid: Grid):
     """(f1, f2, F3 set, |F2|) of one sweep row, f1 rebuilt at every ratio."""
     a1 = cfg.resolved_alpha()[0]
     if cfg.set_family == "cantor":
-        scale = 1.5 ** cfg.cantor_depth
-        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), cfg.cantor_depth)
+        scale = 1.5 ** CANTOR_DEPTH
+        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), CANTOR_DEPTH)
     else:
         f2_set = IntervalSet.from_pairs([(0.0, delta)])
     f3_set = IntervalSet.from_pairs([(0.0, 1.0)])
@@ -290,8 +292,8 @@ def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):
     synthesized = 0
     for s in engine.scales:
         step = int(round(s / h))
-        lo = int(round((-cfg.pos_extent - grid.x0) / h))
-        hi = int(round((cfg.pos_extent - grid.x0) / h))
+        lo = int(round((-POS_EXTENT - grid.x0) / h))
+        hi = int(round((POS_EXTENT - grid.x0) / h))
         idx = np.arange(lo, hi + 1, step) % grid.n
         for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
             xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
@@ -318,6 +320,19 @@ def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):
     f3[nz] = w_total[nz] / mag[nz]
     f3[mask & ~ (mag > 0)] = 1.0
     return lam, GridFunction(grid, f3), w_total, synthesized
+
+
+# greedy well-discretized thinning with the pair rule evaluated for every
+# candidate against every kept tritile
+
+def thin_well_discretized_loop(S, r_const: float = R_CONST):
+    order = sorted(S, key=lambda s: (-s.space.scale, s.space.pos,
+                                     s.freqs[0].lo))
+    kept = []
+    for s in order:
+        if all(not _pair_violations(s, t, r_const) for t in kept):
+            kept.append(s)
+    return kept
 
 
 # size-lemma selection with a packet cache: every size evaluation and every
@@ -442,14 +457,14 @@ def size_lemma_split_ref(S, f, j, sigma, bank):
     return rest, Forest(tuple(trees))
 
 
-def f3_decompose_ref(S, f3, bank, max_rounds: int = 60):
+def f3_decompose_ref(S, f3, bank):
     current = list(S)
     out = []
     if not current:
         return out
     sigma0 = collection_size_ref(f3, current, 3, bank)
     sigma = sigma0
-    for k in range(max_rounds):
+    for k in range(HALVING_ROUNDS):
         if not current or sigma0 == 0.0:
             break
         rest, forest = size_lemma_split_ref(current, f3, 3, sigma, bank)

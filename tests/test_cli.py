@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,17 @@ def test_cli_ingham_bad_x_max(capsys, x_max):
     assert main(["ingham", "--grid-n", "1024", "--x-max", x_max]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: x_max") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_cli_ingham_bad_lam(capsys, lam):
+    # rejected before u is evaluated: no inf/inf RuntimeWarning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ingham", "--grid-n", "1024", "--lam", lam]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: lam") and "Traceback" not in err
 
 
 def test_cli_tree_suite_negative_cases(capsys):

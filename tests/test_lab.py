@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from reference import (band_energy_mask, lattice_evaluate_loop,
                        sweep_family_per_row)
 from tflab import lab
-from tflab.lab import (FIELDS, THEOREMS, SweepConfig, SweepRow, _f1, _family,
-                       _LatticeEngine, band_energy, cantor_intervals,
-                       emit_report, fit_growth, in_hexagon, run_sweep,
-                       run_tree_suite, star, suite_direction)
+from tflab.lab import (EXC_C0, FIELDS, POS_EXTENT, THEOREMS, SweepConfig,
+                       SweepRow, _f1, _family, _LatticeEngine, band_energy,
+                       cantor_intervals, emit_report, fit_growth, in_hexagon,
+                       run_sweep, run_tree_suite, star, suite_direction)
 from tflab.modelsum import coefficient_profile
 from tflab.osgood import InghamTable
 from tflab.sampling import Grid, GridFunction
@@ -68,7 +68,7 @@ def test_sweep_config_rejects_off_dyadic_domain(domain):
 
 def test_engine_scales_fit_the_domain(table):
     # 4h <= s <= L: every column folds to L/s >= 1 slots.  Here h = 2^-6 and
-    # pos_extent > L/2, so the translates wrap and repeat slots
+    # POS_EXTENT > L/2, so the translates wrap and repeat slots
     cfg = SweepConfig(theorem="C15", ratios=(0.25,), domain=4.0, grid_n=2 ** 8,
                       scale_log2_max=4, m_xi_max=16)
     grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
@@ -78,7 +78,7 @@ def test_engine_scales_fit_the_domain(table):
     assert engine.columns
     f2, f3_set, _ = _family(cfg, 0.25, grid)
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
-                                      c0=cfg.exc_c0)
+                                      c0=EXC_C0)
     lam, _ = engine.evaluate(f2, f3_major)
     lam_ref = lattice_evaluate_loop(engine, f1, f2, f3_major)[0]
     assert lam > 0
@@ -289,8 +289,8 @@ def test_engine_prune_decisions_match_mask(table):
             if got / float(power.sum()) < 1e-12:
                 pruned += 1
                 continue
-            # the translates start at the sample x = -pos_extent
-            r = grid.index_of(-cfg.pos_extent) % step
+            # the translates start at the sample x = -POS_EXTENT
+            r = grid.index_of(-POS_EXTENT) % step
             g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table, step, r)
             if g1 is not None:
                 kept.append((s, step, r, xi[1], xi[2], g1))
@@ -316,7 +316,7 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     engine = _LatticeEngine(cfg, grid, table, f1)
     f2, f3_set, _ = _family(cfg, ratio, grid)
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
-                                      c0=cfg.exc_c0)
+                                      c0=EXC_C0)
     synthesis_profile, synthesized = lab.synthesis_profile, []
 
     def counting(*args):
@@ -352,7 +352,7 @@ def test_engine_rows_do_not_depend_on_order(table, theorem, log2n, ratios,
     for ratio in ratios:
         f2, f3_set, _ = _family(cfg, ratio, grid)
         _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
-                                          c0=cfg.exc_c0)
+                                          c0=EXC_C0)
         lam, f3 = shared.evaluate(f2, f3_major)
         lam_fresh, f3_fresh = _LatticeEngine(cfg, grid, table, f1).evaluate(
             f2, f3_major)

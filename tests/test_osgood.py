@@ -36,6 +36,9 @@ def test_bad_lambda():
         OsgoodParams(0.0)
     with pytest.raises(ValueError):
         OsgoodParams(-1.0)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            OsgoodParams(lam)
 
 
 def test_eval_U_values(params):
@@ -168,6 +171,15 @@ def test_window_samples_match_matrix(params, x_max):
 def test_build_ingham_rejects_bad_x_max(params, x_max):
     with pytest.raises(ValueError, match="x_max"):
         build_ingham(params, grid_n=2 ** 10, x_max=x_max)
+
+
+def test_tables_compare_and_hash_by_identity(params):
+    # v0_mass is an array, so field-wise equality could not give one bool
+    a = build_ingham(params, grid_n=2 ** 10)
+    b = build_ingham(params, grid_n=2 ** 10)
+    assert (a == b) is False
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_sandwich(table):

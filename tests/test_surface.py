@@ -1,9 +1,12 @@
-"""Guard against dead parameters: every argument a function takes is read."""
+"""Guard against dead options: every argument a function takes is read, and
+every sweep config field is read by the code that runs a sweep."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import tflab
+from tflab.lab import SweepConfig
 
 SRC = Path(tflab.__file__).parent
 
@@ -33,3 +36,48 @@ def test_every_parameter_is_read():
 def test_guard_flags_an_unread_parameter():
     tree = ast.parse("def f(a, b, *, c=1):\n    return a + (lambda: c)()\n")
     assert _unread_parameters(tree, "m.py") == ["m.py:1 f(b)"]
+
+
+def _loads(node: ast.AST, base: str) -> set[str]:
+    """Attribute names loaded from the variable `base` inside node."""
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name) and n.value.id == base}
+
+
+def _read_config_fields(tree: ast.AST) -> set[str]:
+    """Attributes loaded from `cfg`, or from `self` in a SweepConfig method
+    other than `__post_init__`: a field that is only validated is not read."""
+    read = _loads(tree, "cfg")
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "SweepConfig":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name != "__post_init__":
+                    read |= _loads(fn, "self")
+    return read
+
+
+def _unread_config_fields(sources) -> list[str]:
+    read = set()
+    for text in sources:
+        read |= _read_config_fields(ast.parse(text))
+    return [f.name for f in dataclasses.fields(SweepConfig) if f.name not in read]
+
+
+def test_every_sweep_config_field_is_read():
+    # `seed` is kept for callers that pass it; no sweep reads it
+    unread = _unread_config_fields(p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert unread == ["seed"], f"SweepConfig fields never read: {unread}"
+
+
+def test_config_guard_flags_a_validated_only_field():
+    text = ("class SweepConfig:\n"
+            "    def __post_init__(self):\n"
+            "        assert self.seed >= 0\n"
+            "    def resolved_alpha(self):\n"
+            "        return self.alpha\n"
+            "def run(cfg):\n"
+            "    return cfg.theorem, cfg.eps\n")
+    unread = _unread_config_fields([text])
+    assert "seed" in unread and "grid_n" in unread
+    assert not {"alpha", "theorem", "eps"} & set(unread)

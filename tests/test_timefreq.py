@@ -16,12 +16,12 @@ from tflab.timefreq import (Forest, Tree, Tritile, build_tritile_lattice,
                             forest_counting_norms, forest_to_jsonl,
                             gamma_from_beta, j_tree_core, lacunary_frequency,
                             single_tree_bound, size_lemma_split,
-                            tree_size, validate_tree)
+                            thin_well_discretized, tree_size, validate_tree)
 
 from conftest import bump_signal
 from reference import (CachingPacketBank, collection_size_ref,
                        f3_decompose_ref, size_lemma_split_ref,
-                       tree_suite_stats_ref)
+                       thin_well_discretized_loop, tree_suite_stats_ref)
 
 
 def suite_bank(table, grid):
@@ -98,6 +98,25 @@ def test_random_collection_is_well_discretized(grid):
         assert ok, bad[:2]
         assert len(S) >= 5
         assert len({s.space.scale for s in S}) >= 2
+
+
+# dyadic lattices whose frequency columns sit 1, 4, 16 or 64 steps apart, so
+# the thinning keeps from 8 to 124 of each one's 208 tritiles
+THIN_LATTICES = [build_tritile_lattice(range(-2, 2), range(-4, 4),
+                                       range(-6 * d, 6 * d + 1, d), dil=2.0)
+                 for d in (1, 4, 16, 64)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice=st.sampled_from(THIN_LATTICES),
+       picks=st.lists(st.integers(0, 207), max_size=120),
+       r_const=st.sampled_from([16.0, 32.0]))
+def test_thin_well_discretized_matches_pairwise_loop(lattice, picks, r_const):
+    # drawn with duplicates and in any order; the pair rule decided once per
+    # (column, column, same interval) keeps exactly what the loop keeps
+    S = [lattice[i] for i in picks]
+    assert (thin_well_discretized(S, r_const=r_const)
+            == thin_well_discretized_loop(S, r_const=r_const))
 
 
 # ---------------------------------------------------------------------------
