@@ -9,21 +9,19 @@ principal-value oracle (modelsum), and the sweep harness (lab).
 
 from .errors import (CountingConditionError, DegeneracyError,
                      GridMismatchError, LabError, ResolutionError)
-from .osgood import (InghamTable, OsgoodParams, TabulatedOsgood, build_ingham,
-                     osgood_partial_integral, verify_decay, verify_sandwich)
+from .osgood import (InghamTable, OsgoodParams, build_ingham, verify_decay,
+                     verify_sandwich)
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
                        Report, inner_product, lp_norm, local_norm,
                        maximal_function, read_gridfunction_csv,
                        superlevel_decompose, write_gridfunction_csv)
-from .packets import (PacketBank, Tile, TopDatum, WavePacket, canonical_packet,
-                      split_meanzero, split_truncate, tile_packet, xi_H,
-                      xi_lattice)
-from .mfcz import (MfczSplit, asymptotic_big_c, mfcz_decompose,
-                   mfcz_k_sweep, overlap_count, riesz_project, verify_mfcz)
-from .timefreq import (Forest, Tree, Tritile, build_tritile_lattice,
-                       check_well_discretized, collection_size, counting_split,
-                       exceptional_sets, f3_decompose, forest_to_jsonl,
-                       gamma_from_beta, j_tree_core, single_tree_bound,
+from .packets import (PacketBank, TopDatum, WavePacket, canonical_packet,
+                      split_meanzero, split_truncate, xi_H, xi_lattice)
+from .mfcz import (MfczSplit, mfcz_decompose, mfcz_k_sweep, overlap_count,
+                   riesz_project, verify_mfcz)
+from .timefreq import (Forest, Tree, Tritile, check_well_discretized,
+                       collection_size, counting_split, exceptional_sets,
+                       f3_decompose, gamma_from_beta, single_tree_bound,
                        size_lemma_split, thin_well_discretized, tree_size)
 from .modelsum import (bht_direct, dilate_band_limited, lambda_direct,
                        model_sum, rescale_check)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -31,7 +32,10 @@ def _parse_tops(spec: str) -> list[TopDatum]:
         if not part.strip():
             continue
         scale, pos, xi = part.split(",")
-        tops.append(TopDatum(DyadicInterval(int(scale), int(pos)), float(xi)))
+        xi = float(xi)
+        if not math.isfinite(xi):
+            raise ValueError(f"top frequency must be finite, got {xi}")
+        tops.append(TopDatum(DyadicInterval(int(scale), int(pos)), xi))
     return tops
 
 

@@ -82,26 +82,25 @@ def riesz_project(h: GridFunction, window: Band,
     return g_q, h - g_q
 
 
-def asymptotic_big_c(rate: float) -> float:
-    """Full-strength multiplier K = C k with C = 1000/a for adaptation rate a."""
-    return 1e3 / rate
-
-
 def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
                    p: float, params: OsgoodParams, *, eps: float = 0.25,
                    big_c: float = 1.0) -> MfczSplit:
     """Split f = g + sum b_Q adapted to the top data at overlap level k.
 
-    K = big_c * k; the asymptotic multiplier 1000/a makes the dilated windows
-    astronomically long, so the desk default is big_c = 1 with the full-strength
-    value available through `asymptotic_big_c`.  Raises CountingConditionError when the
-    dilated top intervals overlap more than 2^k, and ResolutionError when a
-    selected 3Q leaves the grid domain.
+    K = big_c * k.  The full-strength multiplier is big_c = 1000/a for
+    adaptation rate a (10^5 at a = 1/100), which makes the dilated windows
+    astronomically long, so the desk default is big_c = 1.  Raises
+    CountingConditionError when the dilated top intervals overlap more than
+    2^k, and ResolutionError when a selected 3Q leaves the grid domain.
     """
     if not 1 <= p < 2:
         raise ValueError("p must lie in [1, 2)")
-    if lam <= 0 or k < 1:
-        raise ValueError("need lam > 0 and k >= 1")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    if not (math.isfinite(big_c) and big_c > 0):
+        raise ValueError(f"big_c must be finite and positive, got {big_c}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     grid = f.grid
     bigk = big_c * k
     uk = params.u(bigk)
@@ -215,6 +214,8 @@ def verify_mfcz(split: MfczSplit, tops: list[TopDatum], table: InghamTable,
     mean-zero families (centers shifted off the top frequency).  Unresolvable
     scales are skipped and counted.
     """
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     grid = split.good.grid
     b = split.bad()
     bank = PacketBank(table, grid, eps)
@@ -276,6 +277,8 @@ def mfcz_k_sweep(f: GridFunction, tops: list[TopDatum], params: OsgoodParams,
 
     Passes when log(stat_sup) decreases log-linearly in k (negative LS slope).
     """
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     ks = list(ks)
     stats: dict[str, float] = {}
     values = []

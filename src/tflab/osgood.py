@@ -89,67 +89,6 @@ class OsgoodParams:
             out[above] = self.u_inverse(x[above])
         return float(out[0]) if scalar else out
 
-    def b_u(self, tau: float) -> float:
-        """sup_t (1 + u(t)) exp(-tau t), sampled on a log grid."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        t = np.concatenate([[0.0], np.geomspace(1e-6, max(10.0, 200.0 / tau), 4000)])
-        return float(np.max((1 + self.u(t)) * np.exp(-tau * t)))
-
-
-def osgood_partial_integral(params: OsgoodParams) -> Report:
-    """Quadrature check of the normalization int_0^inf dt/u(t) = 1 to 1e-3.
-
-    Works in the substituted variable s = log(t+e), where the integrand of the
-    u-family is lam * s^(-1-lam); the horizon grows by octaves until the
-    remaining tail drops below tol/10.  (A fixed horizon T = u(1e6) leaves a
-    tail of about 0.05 for lam = 1, far above tol, so the horizon is adaptive.)
-    """
-    tol = 1e-3
-    lam = params.lam
-
-    def block(a: float, b: float) -> float:
-        s = np.linspace(a, b, 4097)
-        y = lam * s ** (-1 - lam)
-        return float(np.trapezoid(y, s))
-
-    total = 0.0
-    s_lo, s_hi = 1.0, 2.0
-    while True:
-        total += block(s_lo, s_hi)
-        tail = s_hi ** (-lam)  # remaining octaves, summed in closed form
-        if tail < tol / 10 or s_hi > 1e9:
-            break
-        s_lo, s_hi = s_hi, 2 * s_hi
-    ok = abs(total - 1.0) < tol
-    return Report(passed=ok, stats={"integral": total, "s_max": s_hi, "tail_bound": tail})
-
-
-@dataclass(frozen=True)
-class TabulatedOsgood:
-    """User-supplied monotone u given by samples (ts increasing, us increasing)."""
-
-    ts: tuple
-    us: tuple
-
-    def __post_init__(self):
-        ts, us = np.asarray(self.ts, float), np.asarray(self.us, float)
-        if ts.size < 2 or ts.size != us.size:
-            raise ValueError("need matching tables with at least two entries")
-        if not (np.all(np.diff(ts) > 0) and np.all(np.diff(us) > 0)):
-            raise ValueError("tabulated u must be strictly increasing")
-
-    def u(self, t):
-        return np.interp(np.asarray(t, float), self.ts, self.us)
-
-    @property
-    def u0(self) -> float:
-        return float(self.us[0])
-
-    def big_u(self, x):
-        x = np.abs(np.asarray(x, float))
-        return np.where(x < self.u0, 0.0, np.interp(x, self.us, self.ts))
-
 
 # ---------------------------------------------------------------------------
 # the window table

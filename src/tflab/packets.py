@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .osgood import InghamTable, OsgoodParams
-from .sampling import Band, DyadicInterval, Grid, GridFunction
+from .sampling import Band, DyadicInterval, Grid, GridFunction, inner_product
 
 log = logging.getLogger(__name__)
 
@@ -34,19 +34,6 @@ class TopDatum:
 
     interval: DyadicInterval
     xi: float
-
-
-@dataclass(frozen=True)
-class Tile:
-    """Area-one time-frequency rectangle."""
-
-    space: DyadicInterval
-    freq: Band
-
-    def __post_init__(self):
-        area = self.space.length * self.freq.length
-        if abs(area - 1.0) > 1e-9:
-            raise ValueError(f"tile area must be 1, got {area}")
 
 
 @dataclass(frozen=True)
@@ -132,11 +119,6 @@ def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
     return WavePacket(td, eps, GridFunction(grid, vals))
 
 
-def tile_packet(tile: Tile, eps: float, table: InghamTable, grid: Grid) -> WavePacket:
-    """Canonical packet adapted to the tile (centered at the tile frequency)."""
-    return canonical_packet(TopDatum(tile.space, tile.freq.center), eps, table, grid)
-
-
 class PacketBank:
     """Canonical packets and coefficients over a fixed (table, grid, eps) context.
 
@@ -154,8 +136,7 @@ class PacketBank:
 
     def coefficient(self, f: GridFunction, td: TopDatum) -> complex:
         """<f, packet> under the grid inner product."""
-        p = self.packet(td)
-        return complex(np.vdot(p.samples.values, f.values) * self.grid.spacing)
+        return inner_product(f, self.packet(td).samples)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ and partition guarantees are exact rather than asymptotic.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -109,20 +108,6 @@ def validate_tree(tree: Tree, r_const: float = R_CONST) -> list[str]:
     return bad
 
 
-def j_tree_core(tree: Tree, j: int | None = None) -> Tree:
-    """Genuine j-tree inside a selection tree: members with xi_T in 2*omega_sj.
-
-    Selection trees carry the full R-window of their top (the greedy removal
-    needs it); the single tree estimate applies to the 2-window core, whose
-    other slots are lacunary in a well-discretized collection.
-    """
-    if j is None:
-        j = tree.tree_type
-    members = tuple(s for s in tree.tritiles
-                    if s.freqs[j - 1].dilate(2.0).contains_point(tree.top.xi))
-    return _make_tree(tree.space, tree.top.xi, members, j)
-
-
 def lacunary_frequency(tritiles, k: int, r_const: float = R_CONST) -> float | None:
     """A frequency in every R-window but no 2-window of slot k, if one exists."""
     bands = [s.freqs[k - 1] for s in tritiles]
@@ -155,36 +140,6 @@ def gamma_from_beta(beta: np.ndarray) -> np.ndarray:
     if min(pairs) < 1e-6:
         raise DegeneracyError(f"beta {beta} has nearly equal components")
     return np.cross(beta, np.ones(3) / math.sqrt(3.0))
-
-
-def build_tritile_lattice(m_sigma, m_x, m_xi,
-                          dil: float = 1.0 + 2.0**-16) -> list[Tritile]:
-    """Lattice tritiles with spatial scale dil^m_sigma in the direction BETA.
-
-    Spatial intervals are snapped to the nearest dyadic scale and position so
-    that downstream dyadic machinery applies exactly; frequency bands use the
-    snapped length, keeping every tile area exactly 1.  With dil = 2 the
-    snapping is the identity on scales.
-    """
-    if dil <= 1.0:
-        raise ValueError("dil must exceed 1")
-    beta = np.asarray(BETA, dtype=float)
-    gamma = gamma_from_beta(beta)
-    out: dict = {}
-    for ms in m_sigma:
-        ell_nom = dil ** ms
-        scale = round(math.log2(ell_nom))
-        ell = math.ldexp(1.0, scale)
-        for mx in m_x:
-            pos = round(ell_nom * mx / ell - 0.5)
-            space = DyadicInterval(scale, pos)
-            for mxi in m_xi:
-                bands = []
-                for j in range(3):
-                    c = (gamma[j] * mxi + beta[j]) / ell
-                    bands.append(Band(c - 0.5 / ell, c + 0.5 / ell))
-                out[(scale, pos, mxi)] = Tritile(space, tuple(bands))
-    return list(out.values())
 
 
 def _nested_or_disjoint(a: Band, b: Band) -> bool:
@@ -581,26 +536,3 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
             return e_set, closure, major
         c *= 2
     raise ThresholdDoublingError("threshold doubling failed to preserve a major subset")
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def forest_to_jsonl(forests, path) -> None:
-    """One tree per line: top datum, type, level, members, lacunary witnesses."""
-    with open(path, "w") as fh:
-        for forest in forests:
-            for t in forest.trees:
-                rec = {
-                    "k": forest.k,
-                    "top": {"scale": t.space.scale, "pos": t.space.pos,
-                            "xi": t.top.xi},
-                    "type": t.tree_type,
-                    "lacunary": {str(k): v for k, v in t.lacunary_freqs.items()},
-                    "tritiles": [
-                        {"scale": s.space.scale, "pos": s.space.pos,
-                         "freqs": [[b.lo, b.hi] for b in s.freqs],
-                         "coeff": [s.coeff.real, s.coeff.imag]}
-                        for s in t.tritiles],
-                }
-                fh.write(json.dumps(rec) + "\n")

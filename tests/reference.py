@@ -14,10 +14,12 @@ from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, _bump, cantor_intervals,
                        random_collection, random_signal)
 from tflab.osgood import _box_widths
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
-from tflab.sampling import (DyadicInterval, Grid, GridFunction, IntervalSet,
-                            dyadic_cover, grid_dyadic_scales, lp_norm)
-from tflab.timefreq import (HALVING_ROUNDS, Forest, Tree, _make_tree,
-                            _pair_violations, validate_tree)
+from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
+                            IntervalSet, dyadic_cover, grid_dyadic_scales,
+                            lp_norm)
+from tflab.timefreq import (BETA, HALVING_ROUNDS, Forest, Tree, Tritile,
+                            _make_tree, _pair_violations, gamma_from_beta,
+                            validate_tree)
 
 
 def sliding_max_blocks(a: np.ndarray, m: int) -> np.ndarray:
@@ -320,6 +322,26 @@ def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):
     f3[nz] = w_total[nz] / mag[nz]
     f3[mask & ~ (mag > 0)] = 1.0
     return lam, GridFunction(grid, f3), w_total, synthesized
+
+
+def build_tritile_lattice(m_sigma, m_x, m_xi) -> list[Tritile]:
+    """One dyadic lattice tritile per (m_sigma, m_x, m_xi), direction BETA.
+
+    The interval is DyadicInterval(m_sigma, m_x); slot j's band has length
+    2^-m_sigma and center (gamma_j m_xi + beta_j) 2^-m_sigma, so every tile
+    has area exactly 1.
+    """
+    beta = np.asarray(BETA, dtype=float)
+    gamma = gamma_from_beta(beta)
+    out = []
+    for ms in m_sigma:
+        ell = math.ldexp(1.0, ms)
+        for mx in m_x:
+            for mxi in m_xi:
+                c = (gamma * mxi + beta) / ell
+                out.append(Tritile(DyadicInterval(ms, mx), tuple(
+                    Band(cj - 0.5 / ell, cj + 0.5 / ell) for cj in c)))
+    return out
 
 
 # greedy well-discretized thinning with the pair rule evaluated for every

@@ -163,6 +163,29 @@ def test_cli_mfcz(tmp_path, grid, params):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, name, value", [
+    (["--lam", "nan"], "lam", "nan"),
+    (["--lam", "inf"], "lam", "inf"),
+    (["--big-c", "inf"], "big_c", "inf"),
+    (["--tops-file=0,0,inf"], "top frequency", "inf"),
+    (["--tops-file=0,0,nan"], "top frequency", "nan"),
+    (["--k-sweep", "--eps", "0"], "eps", "0.0"),
+    (["--k-sweep", "--eps", "nan"], "eps", "nan"),
+])
+def test_cli_mfcz_bad_value(tmp_path, capsys, grid, params, argv, name, value):
+    # the top 0,0,1.0 lies inside 9Q for a selected Q, so nothing downstream
+    # would fail: only the value checks can turn these into errors
+    from conftest import mfcz_case
+    f, _, lam = mfcz_case(np.random.default_rng(0), grid, params)
+    sig = tmp_path / "sig.csv"
+    write_gridfunction_csv(f, sig)
+    assert main(["mfcz", "--signal", str(sig), "--tops-file=0,0,1.0",
+                 "--lam", str(lam), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and f"got {value}" in err
+    assert "Traceback" not in err
+
+
 def test_cli_error_exit(tmp_path, capsys):
     assert main(["oracle", "--f1", "missing.csv", "--f2", "missing.csv",
                  "--out", str(tmp_path / "o.csv")]) == 1

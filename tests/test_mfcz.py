@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tflab.errors import CountingConditionError
-from tflab.mfcz import (asymptotic_big_c, mfcz_decompose, mfcz_k_sweep,
-                        overlap_count, riesz_project, verify_mfcz)
+from tflab.mfcz import (mfcz_decompose, mfcz_k_sweep, overlap_count,
+                        riesz_project, verify_mfcz)
 from tflab.packets import TopDatum
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             IntervalSet, lp_norm, maximal_function)
@@ -70,10 +70,6 @@ def test_riesz_projection_optimality(grid):
         assert best <= dist + 1e-9
 
 
-def test_asymptotic_big_c():
-    assert asymptotic_big_c(0.01) == pytest.approx(1e5)
-
-
 def test_mfcz_trivial_no_tops(grid, params):
     rng = np.random.default_rng(1)
     f = bump_signal(rng, grid)
@@ -114,6 +110,12 @@ def test_mfcz_validation(grid, params):
         mfcz_decompose(f, [], 1.0, 2, 2.5, params)
     with pytest.raises(ValueError):
         mfcz_decompose(f, [], -1.0, 2, 1.0, params)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            mfcz_decompose(f, [], lam, 2, 1.0, params)
+    for big_c in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="big_c"):
+            mfcz_decompose(f, [], 1.0, 2, 1.0, params, big_c=big_c)
 
 
 def test_mfcz_invariants_random_suite(grid, params):
@@ -137,8 +139,10 @@ def test_mfcz_invariants_random_suite(grid, params):
                 assert out.max() == 0.0
             z = split.xi_q[q]
             if z.size:
-                a = np.exp(-2j * np.pi * np.outer(z, xs))
-                resid = np.abs(a @ b.values * grid.spacing).max()
+                # b is exactly zero off 3Q (asserted above), so the Fourier
+                # integrals at Xi_Q are sums over 3Q
+                a = np.exp(-2j * np.pi * np.outer(z, xs[sl]))
+                resid = np.abs(a @ b.values[sl] * grid.spacing).max()
                 assert resid <= 1e-8 * l1
         worst_overlap = max(worst_overlap, overlap_count(split))
     # tripled maximal dyadic intervals overlap a little more than 3 in

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from reference import ingham_mass_full, window_samples_matrix
 from tflab.errors import ResolutionError
-from tflab.osgood import (OsgoodParams, TabulatedOsgood, build_ingham,
-                          osgood_partial_integral, verify_decay,
+from tflab.osgood import (OsgoodParams, build_ingham, verify_decay,
                           verify_sandwich)
 from tflab.sampling import GridFunction
 
@@ -80,33 +79,15 @@ def test_big_u_bounded_by_identity(params):
     assert np.all(params.big_u(x) <= x + 1e-9)
 
 
-def test_osgood_partial_integral(params):
-    rep = osgood_partial_integral(params)
-    assert rep.passed
-    assert abs(rep.stats["integral"] - 1.0) < 1e-3
-    rep2 = osgood_partial_integral(OsgoodParams(2.0))
-    assert rep2.passed
-
-
-def test_b_u_cached(params):
-    v = params.b_u(2.0)
-    assert v > 0 and math.isfinite(v)
-    with pytest.raises(ValueError):
-        params.b_u(0.0)
-    # a replaced lam gets its own value, not the original's
-    assert params.b_u(0.5) == pytest.approx(4.602, abs=1e-3)
-    assert dataclasses.replace(params, lam=3.0).b_u(0.5) == pytest.approx(4.193, abs=1e-3)
-
-
-def test_tabulated_osgood():
-    ts = np.linspace(0, 10, 50)
-    us = 1.0 + ts ** 2
-    tab = TabulatedOsgood(tuple(ts), tuple(us))
-    assert tab.u(2.0) == pytest.approx(5.0, rel=5e-3)
-    assert tab.big_u(5.0) == pytest.approx(2.0, rel=5e-3)
-    assert tab.big_u(0.5) == 0.0
-    with pytest.raises(ValueError):
-        TabulatedOsgood((0.0, 1.0), (2.0, 1.0))
+def test_osgood_partial_integral():
+    # int_0^inf dt/u(t) = 1, through u itself: t = e^s - e turns it into the
+    # integral of e^s/u(e^s - e) over s >= 1, whose tail past s = 600 is
+    # 600^-lam for the u-family
+    s = np.linspace(1.0, 600.0, 200_001)
+    for lam in (0.5, 1.0, 2.0):
+        integrand = np.exp(s) / OsgoodParams(lam).u(np.exp(s) - E)
+        total = np.trapezoid(integrand, s) + 600.0 ** -lam
+        assert abs(total - 1.0) < 1e-3, (lam, total)
 
 
 # ---------------------------------------------------------------------------

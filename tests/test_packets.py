@@ -1,17 +1,17 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tflab.errors import ResolutionError
+from tflab.errors import GridMismatchError, ResolutionError
 from tflab.modelsum import coefficient_profile, synthesis_profile
-from tflab.osgood import TabulatedOsgood
-from tflab.packets import (PacketBank, Tile, TopDatum, canonical_packet,
+from tflab.packets import (PacketBank, TopDatum, canonical_packet,
                            dedup_freqs, freq_window_for_scale, split_meanzero,
-                           split_truncate, tile_packet, xi_H, xi_lattice)
+                           split_truncate, xi_H, xi_lattice)
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
 
 from reference import (canonical_packet_full, coefficient_profile_full,
@@ -204,13 +204,13 @@ def test_packet_adaptedness_envelope(table, params):
     assert abs(sups[1] - sups[0]) <= 0.1 * sups[0]
 
 
-def test_tile_packet(table, grid):
-    tile = Tile(DyadicInterval(-1, 2), Band(3.0, 5.0))
-    pk = tile_packet(tile, 0.25, table, grid)
-    assert pk.center_freq == 4.0
-    assert tile.freq.contains_band(pk.band)
-    with pytest.raises(ValueError):
-        Tile(DyadicInterval(0, 0), Band(0.0, 2.0))  # area 2
+def test_bank_coefficient_needs_the_bank_grid(table, grid):
+    # a signal on another grid of the same size is an error, not a number
+    bank = PacketBank(table, grid, 0.25)
+    other = Grid(grid.x0 + 1.0, grid.x1 + 1.0, grid.n)
+    f = GridFunction(other, np.ones(other.n, complex))
+    with pytest.raises(GridMismatchError):
+        bank.coefficient(f, TopDatum(DyadicInterval(0, 0), 2.0))
 
 
 def test_bank_holds_no_packets(table, grid):
@@ -319,7 +319,7 @@ def test_split_meanzero_formula_reproduction(table, params):
 
 def test_xi_lattice_unit_case():
     # u(K) = 1 realizes the textbook case: multiples of 1/3 in [-2, 3)
-    flat = TabulatedOsgood((0.0, 10.0), (1.0, 1.0 + 1e-9))
+    flat = types.SimpleNamespace(u=lambda K: 1.0)
     lat = xi_lattice(DyadicInterval(0, 0), Band(0.0, 1.0), 0.0, flat)
     assert lat.size == 15
     assert np.allclose(np.diff(lat), 1.0 / 3.0)

@@ -1,5 +1,7 @@
-"""Guard against dead options: every argument a function takes is read, and
-every sweep config field is read by the code that runs a sweep."""
+"""Guard against dead options and dead API: every argument a function takes
+is read, every sweep config field is read by the code that runs a sweep, and
+every name the package exports is reached by the package, the acceptance
+tests or the benchmark."""
 
 import ast
 import dataclasses
@@ -9,6 +11,7 @@ import tflab
 from tflab.lab import SweepConfig
 
 SRC = Path(tflab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unread_parameters(tree: ast.AST, filename: str) -> list[str]:
@@ -81,3 +84,63 @@ def test_config_guard_flags_a_validated_only_field():
     unread = _unread_config_fields([text])
     assert "seed" in unread and "grid_n" in unread
     assert not {"alpha", "theorem", "eps"} & set(unread)
+
+
+def _names_loaded(tree: ast.Module) -> set[str]:
+    """Names loaded, as a name or an attribute, in a module; a top-level def
+    or class does not reach itself."""
+    out = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                name = n.id
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                name = n.attr
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def _wrapped(tracer: ast.Module) -> set[str]:
+    """Top-level names in the benchmark tracer's WRAPPED list."""
+    for stmt in tracer.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPPED"
+                for t in stmt.targets):
+            return {attr.split(".")[0]
+                    for _, attr, _ in ast.literal_eval(stmt.value)}
+    return set()
+
+
+def _unreached_exports(init_text: str, sources, tracer_text: str) -> list[str]:
+    reached = _wrapped(ast.parse(tracer_text))
+    for text in sources:
+        reached |= _names_loaded(ast.parse(text))
+    return [a.asname or a.name for stmt in ast.parse(init_text).body
+            if isinstance(stmt, ast.ImportFrom) for a in stmt.names
+            if (a.asname or a.name) not in reached]
+
+
+def test_every_export_is_reached():
+    # `tree_size` is the one direct test of `_tree_size`'s lacunary-error
+    # branch, which single_tree_bound relies on
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+             *sorted((ROOT / "bench").glob("*.py"))]
+    unreached = _unreached_exports(
+        (SRC / "__init__.py").read_text(), (p.read_text() for p in paths),
+        (ROOT / "bench" / "tracer.py").read_text())
+    assert unreached == ["tree_size"], f"exports nothing reaches: {unreached}"
+
+
+def test_export_guard_flags_an_unreached_function():
+    init = "from .m import f, g, h, k\n"
+    package = ("def f(n):\n"
+               "    return f(n - 1)\n"  # a recursive call does not reach f
+               "def g():\n"
+               "    return h()\n")
+    run = "import tflab\ntflab.g()\n"
+    tracer = 'WRAPPED = [("m", "k.method", "m.k.method")]\n'
+    assert _unreached_exports(init, [package, run], tracer) == ["f"]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,18 +9,18 @@ from tflab.errors import DegeneracyError
 from tflab.lab import random_collection, random_signal, run_tree_suite
 from tflab.packets import PacketBank, TopDatum
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, IntervalSet
-from tflab.timefreq import (Forest, Tree, Tritile, build_tritile_lattice,
-                            check_well_discretized, collection_size,
-                            counting_split, exceptional_sets, f3_decompose,
-                            forest_counting_norms, forest_to_jsonl,
-                            gamma_from_beta, j_tree_core, lacunary_frequency,
+from tflab.timefreq import (Forest, Tree, Tritile, check_well_discretized,
+                            collection_size, counting_split, exceptional_sets,
+                            f3_decompose, forest_counting_norms,
+                            gamma_from_beta, lacunary_frequency,
                             single_tree_bound, size_lemma_split,
                             thin_well_discretized, tree_size, validate_tree)
 
 from conftest import bump_signal
-from reference import (CachingPacketBank, collection_size_ref,
-                       f3_decompose_ref, size_lemma_split_ref,
-                       thin_well_discretized_loop, tree_suite_stats_ref)
+from reference import (CachingPacketBank, build_tritile_lattice,
+                       collection_size_ref, f3_decompose_ref,
+                       size_lemma_split_ref, thin_well_discretized_loop,
+                       tree_suite_stats_ref)
 
 
 def suite_bank(table, grid):
@@ -57,17 +56,19 @@ def test_gamma_from_beta():
 
 
 def test_lattice_empty_and_areas():
+    # (scale, position, column) -> tritile is one to one, and every tile has
+    # area 1
     assert build_tritile_lattice([], [], []) == []
-    S = build_tritile_lattice(range(-2, 1), range(-4, 4), range(-5, 6),
-                              dil=2.0)
-    assert S
+    S = build_tritile_lattice(range(-2, 1), range(-4, 4), range(-5, 6))
+    assert len(set(S)) == len(S) == 3 * 8 * 11
+    assert len({s.space for s in S}) == 3 * 8
     for s in S:
         for om in s.freqs:
             assert s.space.length * om.length == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lattice_snapping_identity_for_dyadic_dil():
-    S = build_tritile_lattice(range(-1, 2), range(0, 2), range(0, 1), dil=2.0)
+    S = build_tritile_lattice(range(-1, 2), range(0, 2), range(0, 1))
     scales = sorted({s.space.scale for s in S})
     assert scales == [-1, 0, 1]
 
@@ -101,20 +102,19 @@ def test_random_collection_is_well_discretized(grid):
 
 
 # dyadic lattices whose frequency columns sit 1, 4, 16 or 64 steps apart, so
-# the thinning keeps from 8 to 124 of each one's 208 tritiles
+# the thinning keeps from 16 to 248 of each one's 416 tritiles
 THIN_LATTICES = [build_tritile_lattice(range(-2, 2), range(-4, 4),
-                                       range(-6 * d, 6 * d + 1, d), dil=2.0)
+                                       range(-6 * d, 6 * d + 1, d))
                  for d in (1, 4, 16, 64)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(lattice=st.sampled_from(THIN_LATTICES),
-       picks=st.lists(st.integers(0, 207), max_size=120),
+@given(S=st.sampled_from(THIN_LATTICES).flatmap(
+           lambda lattice: st.lists(st.sampled_from(lattice), max_size=120)),
        r_const=st.sampled_from([16.0, 32.0]))
-def test_thin_well_discretized_matches_pairwise_loop(lattice, picks, r_const):
+def test_thin_well_discretized_matches_pairwise_loop(S, r_const):
     # drawn with duplicates and in any order; the pair rule decided once per
     # (column, column, same interval) keeps exactly what the loop keeps
-    S = [lattice[i] for i in picks]
     assert (thin_well_discretized(S, r_const=r_const)
             == thin_well_discretized_loop(S, r_const=r_const))
 
@@ -441,20 +441,3 @@ def test_lacunary_frequency_and_core():
     b = s1.freqs[1]
     assert b.dilate(32.0).contains_point(xi)
     assert not b.dilate(2.0).contains_point(xi)
-    tree = Tree(TopDatum(s1.space, 2.5), (s1,), 1)
-    core = j_tree_core(tree)
-    assert core.tritiles == (s1,)
-
-
-def test_forest_jsonl(tmp_path, table, grid):
-    rng = np.random.default_rng(9)
-    bank = suite_bank(table, grid)
-    S = random_collection(rng, grid)
-    f3 = random_signal(rng, grid)
-    forests = f3_decompose(S, f3, bank)
-    path = tmp_path / "forests.jsonl"
-    forest_to_jsonl(forests, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == sum(len(fo.trees) for fo in forests)
-    rec = json.loads(lines[0])
-    assert {"k", "top", "type", "tritiles"} <= set(rec)
