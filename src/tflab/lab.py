@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ResolutionError
 from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
-from .packets import PacketBank
+from .packets import PacketBank, band_bins
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
                        Report, lp_norm)
 from .timefreq import (BETA, Tritile, _SizeContext, exceptional_sets,
@@ -31,8 +31,13 @@ THEOREMS = ("T1", "T2", "T3", "C15")
 
 #: middle-thirds depth of the "cantor" set family
 CANTOR_DEPTH = 3
-#: engine translates cover [-POS_EXTENT, POS_EXTENT]
+#: sweeps run on [-DOMAIN/2, DOMAIN/2); a power of two, like the grid size,
+#: so that the engine's translate step s/h divides n
+DOMAIN = 32.0
+#: engine translates cover [-POS_EXTENT, POS_EXTENT], inside the domain
 POS_EXTENT = 8.0
+#: coarsest engine scale is 2^SCALE_LOG2_MAX
+SCALE_LOG2_MAX = 2
 #: threshold constant for the exceptional sets: any value passing the
 #: majority check is admissible; a large one shrinks the excluded buffer and
 #: probes the sharpness of the growth law
@@ -57,12 +62,10 @@ class SweepConfig:
     set_family: str = "interval"        # or "cantor"
     ratios: tuple[float, ...] = tuple(2.0 ** -j for j in range(1, 11))
     grid_n: int = 2 ** 15
-    domain: float = 32.0
     eps: float = 2.0 ** -4
     seed: int = 0
     m_xi_max: int = 64
     scale_log2_min: int = -10
-    scale_log2_max: int = 2
     ingham_grid_n: int = 2 ** 13
     oracle_n: int = 2 ** 12
 
@@ -75,11 +78,6 @@ class SweepConfig:
             raise ValueError("ratios must be finite, positive and strictly decreasing")
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        # the engine's translates step by s/h samples, which divides n only
-        # when the domain, like n, is a power of two
-        if not (math.isfinite(self.domain) and self.domain > 0
-                and math.frexp(self.domain)[0] == 0.5):
-            raise ValueError(f"domain must be a power of two, got {self.domain}")
         a1, a2, _ = alpha = self.resolved_alpha()
         if not in_hexagon(alpha):
             raise ValueError("alpha outside the admissible hexagon")
@@ -178,33 +176,6 @@ def _bound_rhs(cfg: SweepConfig, f1n: float, f2n: float, f2_measure: float,
     return prod * corr
 
 
-#: bins of slack on each side of a prune window (rounding at its ends)
-_PRUNE_PAD = 2
-
-
-def band_energy(freqs: np.ndarray, power: np.ndarray, xi: float,
-                radius: float) -> float:
-    """power summed over the bins with |freqs - xi| <= radius.
-
-    freqs is a DFT lattice in fftfreq order: an ascending run of the
-    nonnegative frequencies, then one of the negative frequencies.  Each run
-    is searched for the band, padded by _PRUNE_PAD bins against rounding at
-    its ends, and the predicate runs only inside that window.  The survivors
-    of the two runs, taken in index order, are the elements a full-length
-    boolean mask selects, so the sum is the mask's sum bit for bit.
-    """
-    pad = _PRUNE_PAD * -freqs[-1]  # fftfreq ends one bin below zero
-    bounds = (xi - radius - pad, xi + radius + pad)
-    half = (freqs.size + 1) // 2
-    parts = []
-    for start, run in ((0, freqs[:half]), (half, freqs[half:])):
-        lo, hi = run.searchsorted(bounds)
-        if lo < hi:
-            inside = np.abs(run[lo:hi] - xi) <= radius
-            parts.append(power[start + lo:start + hi][inside])
-    return float(np.concatenate(parts).sum()) if parts else 0.0
-
-
 class _LatticeEngine:
     """Translation-batched model-sum evaluator over a frequency-column lattice.
 
@@ -221,11 +192,12 @@ class _LatticeEngine:
         self.beta = np.asarray(BETA, dtype=float)
         self.gamma = gamma_from_beta(self.beta)
         self.scales = [2.0 ** j for j in
-                       range(cfg.scale_log2_max, cfg.scale_log2_min - 1, -1)
-                       if 4 * grid.spacing <= 2.0 ** j <= grid.length]
+                       range(SCALE_LOG2_MAX, cfg.scale_log2_min - 1, -1)
+                       if 4 * grid.spacing <= 2.0 ** j]
         fh1 = np.fft.fft(f1.values)
-        # columns where f1 has no spectral energy in the slot-1 band are pruned
-        freqs = grid.freqs()
+        # a column is pruned when its slot-1 band is unresolvable or holds
+        # under 1e-12 of f1's spectral energy on the bins where the slot-1
+        # spectrum can be nonzero
         power = np.abs(fh1) ** 2
         total = float(power.sum())
         lo = int(round((-POS_EXTENT - grid.x0) / grid.spacing))
@@ -234,11 +206,15 @@ class _LatticeEngine:
         for s in self.scales:
             step = round(s / grid.spacing)
             r = lo % step
-            slots = np.arange(lo, hi + 1, step) % grid.n // step
+            # the translates span samples n/4 ... 3n/4, so no slot wraps
+            slots = np.arange(lo, hi + 1, step) // step
             for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
                 xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
-                if (total <= 0 or band_energy(freqs, power, xi[0], cfg.eps / s)
-                        / total < 1e-12):
+                try:
+                    bins, _ = band_bins(grid, s, xi[0], cfg.eps)
+                except ResolutionError:
+                    continue
+                if total <= 0 or power[bins].sum() / total < 1e-12:
                     continue
                 g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table,
                                          step, r)
@@ -289,7 +265,7 @@ def _oracle_value(cfg: SweepConfig, f1: GridFunction, f2: GridFunction,
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per ratio; failed rows are marked in `status`, never dropped."""
     table = build_ingham(OsgoodParams(1.0), grid_n=cfg.ingham_grid_n)
-    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     alpha = cfg.resolved_alpha()
     f1 = _f1(cfg, grid)
     f1n = lp_norm(f1, 2.0 if cfg.theorem == "T1" else 1.0 / alpha[0])

@@ -38,9 +38,6 @@ class MfczSplit:
     bad_parts: dict[DyadicInterval, GridFunction]
     q_intervals: list[DyadicInterval]
     xi_q: dict[DyadicInterval, np.ndarray]
-    lam: float
-    k: int
-    p: float
     exceptional: IntervalSet
     diagnostics: dict[str, float] = field(default_factory=dict)
 
@@ -91,7 +88,8 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     adaptation rate a (10^5 at a = 1/100), which makes the dilated windows
     astronomically long, so the desk default is big_c = 1.  Raises
     CountingConditionError when the dilated top intervals overlap more than
-    2^k, and ResolutionError when a selected 3Q leaves the grid domain.
+    2^k, and ResolutionError when one frequency lattice would have more points
+    than the grid has samples, or a selected 3Q leaves the grid domain.
     """
     if not 1 <= p < 2:
         raise ValueError("p must lie in [1, 2)")
@@ -103,7 +101,13 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
         raise ValueError(f"k must be at least 1, got {k}")
     grid = f.grid
     bigk = big_c * k
-    uk = params.u(bigk)
+    with np.errstate(over="ignore"):
+        uk = params.u(bigk)
+    # one xi_lattice spans 5/|J| at spacing 1/(3 u(K)|J|): 15 u(K) points
+    if 15 * uk > grid.n:
+        raise ResolutionError(
+            f"big_c too large for the grid: a frequency lattice of 15 u(K) = "
+            f"{15 * uk:.3g} points exceeds its {grid.n} samples; got {big_c}")
 
     overlap = cover_count(grid, (td.interval.dilate(3.0 * uk) for td in tops))
     if overlap.max() > 2.0**k:
@@ -152,7 +156,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
 
     diagnostics = _diagnostics(f, good, qs, xi_q, live_tops, lam, k, p, uk, be_ratios)
     return MfczSplit(GridFunction(grid, good), bad_parts, qs, xi_q,
-                     lam, k, p, exceptional, diagnostics)
+                     exceptional, diagnostics)
 
 
 def _union_mask(grid, qs) -> np.ndarray:

@@ -12,7 +12,6 @@ translation-batched profiles (`tflab.modelsum`) build on it too.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ import numpy as np
 from .errors import ResolutionError
 from .osgood import InghamTable, OsgoodParams
 from .sampling import Band, DyadicInterval, Grid, GridFunction, inner_product
-
-log = logging.getLogger(__name__)
 
 #: frequency-window constant (anything above 10 is admissible)
 R_CONST = 16.0
@@ -45,10 +42,6 @@ class WavePacket:
     samples: GridFunction
 
     @property
-    def center_freq(self) -> float:
-        return self.datum.xi
-
-    @property
     def rate(self) -> float:
         """Adaptation rate of the decay envelope (eps/100)."""
         return self.epsilon / 100.0
@@ -56,10 +49,20 @@ class WavePacket:
     @property
     def band(self) -> Band:
         half = 0.5 * self.epsilon / self.datum.interval.length
-        return Band(self.center_freq - half, self.center_freq + half)
+        return Band(self.datum.xi - half, self.datum.xi + half)
 
 
-def _band_check(grid: Grid, xi: float, bandwidth: float) -> None:
+def band_bins(grid: Grid, scale: float, xi: float,
+              eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(bins, arg) of the band where the packet spectrum can be nonzero.
+
+    The window spectrum vanishes off (-1, 1), so the packet spectrum at
+    spatial scale `scale` and xi is zero off the bins of the fftfreq lattice
+    with |arg| < 1, arg = (scale/eps)(zeta - xi).  `bins` are those bins'
+    indices in fftfreq order and `arg` their window arguments.  Raises
+    ResolutionError when the band crosses Nyquist or spans fewer than 4 bins.
+    """
+    bandwidth = eps / scale
     if abs(xi) + bandwidth / 2 >= grid.nyquist:
         raise ResolutionError(
             f"band at {xi} (width {bandwidth}) exceeds Nyquist {grid.nyquist}")
@@ -67,23 +70,6 @@ def _band_check(grid: Grid, xi: float, bandwidth: float) -> None:
         raise ResolutionError(
             f"band width {bandwidth} spans fewer than 4 frequency bins "
             f"on a grid of length {grid.length}")
-
-
-def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
-               table: InghamTable) -> tuple[np.ndarray, np.ndarray]:
-    """Band form (bins, values) of the unit-normalized packet spectrum.
-
-    The one definition of the packet spectrum at spatial scale `scale` and
-    xi: the window spectrum dilated to scale/eps and centered at xi,
-    normalized in the grid L2 norm.  The window spectrum vanishes off
-    (-1, 1), so the spectrum is zero off the bins of the fftfreq lattice
-    within eps/scale of xi.  `bins` are those bins' indices in fftfreq order
-    and `values` the spectrum there; every other bin is exactly zero.  Each
-    value, and the norm, equal those of the full-length spectrum bit for bit.
-    Raises ResolutionError when the band crosses Nyquist, spans fewer than 4
-    bins, or misses every bin.
-    """
-    _band_check(grid, xi, eps / scale)
     n = grid.n
     lam_s = scale / eps
     dz = 1.0 / (n * grid.spacing)  # the lattice spacing, as fftfreq has it
@@ -94,11 +80,25 @@ def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
     k = np.arange(k0, k1 + 1)
     arg = lam_s * (k * dz - xi)
     band = np.abs(arg) < 1
-    bins = k[band] % n
-    values = lam_s * table.spectrum_at(arg[band])
+    return k[band] % n, arg[band]
+
+
+def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
+               table: InghamTable) -> tuple[np.ndarray, np.ndarray]:
+    """Band form (bins, values) of the unit-normalized packet spectrum.
+
+    The one definition of the packet spectrum at spatial scale `scale` and
+    xi: the window spectrum dilated to scale/eps and centered at xi,
+    normalized in the grid L2 norm.  It is zero off `band_bins`; `values`
+    are the spectrum on those bins.  Each value, and the norm, equal those
+    of the full-length spectrum bit for bit.  Raises ResolutionError when
+    the band is unresolvable (`band_bins`) or misses every bin.
+    """
+    bins, arg = band_bins(grid, scale, xi, eps)
+    values = scale / eps * table.spectrum_at(arg)
     # the norm sums the squares in their full-length places: summation order
     # sets its last bits, and canonical packets' bits are pinned
-    sq = np.zeros(n)
+    sq = np.zeros(grid.n)
     sq[bins] = values**2
     norm = math.sqrt(sq.sum() / grid.length)
     if norm == 0:
@@ -142,24 +142,18 @@ class PacketBank:
 # ---------------------------------------------------------------------------
 # splittings: compact support plus an exponentially small remainder
 
-def _window_width(phi: WavePacket, K: float, table: InghamTable,
-                  clamp: bool) -> float:
+def _window_width(phi: WavePacket, K: float, table: InghamTable) -> float:
     width = table.params.u(K) * phi.datum.interval.length
     grid = phi.samples.grid
     c = phi.datum.interval.center
-    room = 2 * min(c - grid.x0, grid.x1 - c)
-    if width > room:
-        if not clamp:
-            raise ValueError(
-                f"support width u(K)|I| = {width} exceeds the grid domain; "
-                "pass clamp=True to truncate")
-        log.warning("clamping split support width %.3g to %.3g", width, room)
-        width = room
+    if width > 2 * min(c - grid.x0, grid.x1 - c):
+        raise ValueError(
+            f"support width u(K)|I| = {width} exceeds the grid domain")
     return width
 
 
-def split_truncate(phi: WavePacket, K: float, table: InghamTable,
-                   clamp: bool = False) -> tuple[GridFunction, GridFunction]:
+def split_truncate(phi: WavePacket, K: float,
+                   table: InghamTable) -> tuple[GridFunction, GridFunction]:
     """Split phi = phi_c + exp(-aK/12) psi with supp(phi_c) inside u(K)I.
 
     The smooth cutoff is the window spectrum reused as a spatial bump (plateau
@@ -169,7 +163,7 @@ def split_truncate(phi: WavePacket, K: float, table: InghamTable,
     if K < 1:
         raise ValueError("K must be at least 1")
     grid = phi.samples.grid
-    width = _window_width(phi, K, table, clamp)
+    width = _window_width(phi, K, table)
     w = table.cutoff_at(grid.xs() - phi.datum.interval.center, width)
     scale = math.exp(phi.rate * K / 12.0)
     phi_c = GridFunction(grid, phi.samples.values * w)
@@ -177,8 +171,8 @@ def split_truncate(phi: WavePacket, K: float, table: InghamTable,
     return phi_c, psi
 
 
-def split_meanzero(phi: WavePacket, K: float, xi0: float, table: InghamTable,
-                   clamp: bool = False) -> tuple[GridFunction, GridFunction]:
+def split_meanzero(phi: WavePacket, K: float, xi0: float,
+                   table: InghamTable) -> tuple[GridFunction, GridFunction]:
     """Truncation split that keeps exact zero average against exp(2 pi i xi0 x).
 
     xi0 must sit outside the unit band of the packet after rescaling:
@@ -190,7 +184,7 @@ def split_meanzero(phi: WavePacket, K: float, xi0: float, table: InghamTable,
         raise ValueError("K must be at least 1")
     grid = phi.samples.grid
     length = phi.datum.interval.length
-    d = length * abs(xi0 - phi.center_freq)
+    d = length * abs(xi0 - phi.datum.xi)
     if d <= 0.5:
         raise ValueError(
             f"xi0 = {xi0} lies inside the forbidden unit band of the packet")
@@ -198,7 +192,7 @@ def split_meanzero(phi: WavePacket, K: float, xi0: float, table: InghamTable,
         raise ValueError(
             f"xi0 = {xi0} outside the admissible window (|I| dist = {d} > R/2)")
     xi0 = grid.snap_frequency(xi0)
-    width = _window_width(phi, K, table, clamp)
+    width = _window_width(phi, K, table)
     xs = grid.xs()
     w = phi.samples.values * np.exp(-2j * np.pi * xi0 * xs)
     win = table.cutoff_at(xs - phi.datum.interval.center, width)

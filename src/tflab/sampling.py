@@ -219,10 +219,6 @@ class DyadicInterval:
             return False
         return other.pos >> (self.scale - other.scale) == self.pos
 
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return (DyadicInterval(self.scale - 1, 2 * self.pos),
-                DyadicInterval(self.scale - 1, 2 * self.pos + 1))
-
 
 def dyadic_log2(x: float) -> int:
     """log2 of an exact power of two; raises otherwise."""
@@ -373,9 +369,6 @@ class IntervalSet:
     @property
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.parts)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_pairs(self.parts + other.parts)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         out = []

@@ -181,20 +181,14 @@ def _pair_violations(s: Tritile, t: Tritile, r_const: float) -> list[str]:
     return bad
 
 
-def check_well_discretized(S, r_const: float = R_CONST,
-                           scale_gap: float = 2.0) -> tuple[bool, list[str]]:
+def check_well_discretized(S, r_const: float = R_CONST) -> tuple[bool, list[str]]:
     """The four structural requirements on a tritile collection.
 
-    scale_gap is the minimal ratio between distinct spatial scales (the
-    conformance value is r_const**10; distinct dyadic scales give 2).  The
-    spatial intervals are dyadic by construction, hence always form a grid.
+    The spatial intervals are dyadic by construction, hence always form a
+    grid, and distinct dyadic scales are separated by a factor of at least 2.
     """
     S = list(S)
     bad: list[str] = []
-    scales = sorted({s.space.scale for s in S})
-    for a, b in zip(scales, scales[1:]):
-        if 2.0 ** (b - a) < scale_gap - 1e-12:
-            bad.append(f"scales 2^{a}, 2^{b} violate the separation gap {scale_gap}")
     for i, s in enumerate(S):
         for t in S[i + 1:]:
             bad.extend(_pair_violations(s, t, r_const))

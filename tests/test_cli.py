@@ -171,6 +171,10 @@ def test_cli_mfcz(tmp_path, grid, params):
     (["--tops-file=0,0,nan"], "top frequency", "nan"),
     (["--k-sweep", "--eps", "0"], "eps", "0.0"),
     (["--k-sweep", "--eps", "nan"], "eps", "nan"),
+    # one frequency lattice would outgrow the grid: u(K) overflows to inf,
+    # or asks for 2.4e16 points
+    (["--big-c", "1e306"], "big_c", "1e+306"),
+    (["--big-c", "1e12"], "big_c", "1000000000000.0"),
 ])
 def test_cli_mfcz_bad_value(tmp_path, capsys, grid, params, argv, name, value):
     # the top 0,0,1.0 lies inside 9Q for a selected Q, so nothing downstream

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from reference import (band_energy_mask, lattice_evaluate_loop,
                        sweep_family_per_row)
 from tflab import lab
-from tflab.lab import (EXC_C0, FIELDS, POS_EXTENT, THEOREMS, SweepConfig,
-                       SweepRow, _f1, _family, _LatticeEngine, band_energy,
+from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, THEOREMS,
+                       SweepConfig, SweepRow, _f1, _family, _LatticeEngine,
                        cantor_intervals, emit_report, fit_growth, in_hexagon,
                        run_sweep, run_tree_suite, star, suite_direction)
 from tflab.modelsum import coefficient_profile
@@ -58,23 +58,15 @@ def test_sweep_config_rejects_nonfinite_ratios_and_bad_eps(kwargs):
         SweepConfig(**kwargs)
 
 
-@pytest.mark.parametrize("domain", [30.0, 3.0, 0.0, -32.0, math.inf, math.nan])
-def test_sweep_config_rejects_off_dyadic_domain(domain):
-    # translates step by s/h samples; on a domain of 30 at n = 2^15 that is
-    # 546 samples at s = 1/2, so they would sit 0.49988 apart, not 0.5
-    with pytest.raises(ValueError, match="domain must be a power of two"):
-        SweepConfig(domain=domain)
-
-
 def test_engine_scales_fit_the_domain(table):
-    # 4h <= s <= L: every column folds to L/s >= 1 slots.  Here h = 2^-6 and
-    # POS_EXTENT > L/2, so the translates wrap and repeat slots
-    cfg = SweepConfig(theorem="C15", ratios=(0.25,), domain=4.0, grid_n=2 ** 8,
-                      scale_log2_max=4, m_xi_max=16)
-    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    # 4h <= s: at n = 2^8, h = 1/8, so the finest scale is 1/2 and the
+    # coarsest, 4, folds to L/s = 8 slots
+    cfg = SweepConfig(theorem="C15", ratios=(0.25,), grid_n=2 ** 8,
+                      m_xi_max=16)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     f1 = _f1(cfg, grid)
     engine = _LatticeEngine(cfg, grid, table, f1)
-    assert engine.scales == [2.0 ** j for j in range(2, -5, -1)]
+    assert engine.scales == [4.0, 2.0, 1.0, 0.5]
     assert engine.columns
     f2, f3_set, _ = _family(cfg, 0.25, grid)
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
@@ -186,7 +178,7 @@ def test_emit_report_deterministic(tmp_path):
 
 def small_cfg(**kw):
     base = dict(ratios=(0.5, 0.25, 0.125, 0.0625), grid_n=2 ** 12,
-                domain=32.0, scale_log2_min=-4, m_xi_max=16,
+                scale_log2_min=-4, m_xi_max=16,
                 ingham_grid_n=2 ** 11, oracle_n=2 ** 10)
     base.update(kw)
     return SweepConfig(**base)
@@ -233,45 +225,11 @@ def test_tree_suite_runs():
 
 
 # ---------------------------------------------------------------------------
-# windowed band-energy prune against the full-length mask
-
-@st.composite
-def prune_draws(draw):
-    """A spectrum with its energy on the edges of a band, near the threshold."""
-    n = 2 ** draw(st.integers(1, 12))
-    length = draw(st.sampled_from([32.0, 27.0, 8.0, 3.0]))
-    grid = Grid(-length / 2, length / 2, n)
-    # bands inside the lattice, across zero and past either end of it
-    k = draw(st.integers(-n, n))
-    m = draw(st.integers(0, n // 2 + 1))
-    xi = (k + draw(st.sampled_from([0.0, 0.5, 1e-13, -1e-13]))) / length
-    radius = m / length
-    radius = draw(st.sampled_from([radius, math.nextafter(radius, 0.0),
-                                   math.nextafter(radius, math.inf)]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    power = rng.random(n) * 10.0 ** -draw(st.integers(0, 16))
-    freqs = grid.freqs()
-    edge = np.flatnonzero(np.abs(np.abs(freqs - xi) - radius) <= 1.5 / length)
-    # threshold-sized energy on the edge bins, the bulk far from the band
-    power[edge] = rng.random(edge.size) * 10.0 ** -draw(st.integers(10, 14))
-    power[np.argmax(np.abs(freqs - xi))] += 1.0
-    return grid, power, xi, radius
-
-
-@settings(max_examples=400, deadline=None)
-@given(prune_draws())
-def test_band_energy_window_matches_mask(draw):
-    grid, power, xi, radius = draw
-    got = band_energy(grid.freqs(), power, xi, radius)
-    want = band_energy_mask(grid.freqs(), power, xi, radius)
-    assert got == want
-    total = float(power.sum())
-    assert (got / total < 1e-12) == (want / total < 1e-12)
-
+# the engine's band prune against the full-length mask
 
 def test_engine_prune_decisions_match_mask(table):
-    # every column of a T1-shaped lattice: the same sums, so the same prunes;
-    # the engine keeps each unpruned column whose slot-1 band resolves, once
+    # every column of a T1-shaped lattice: the engine keeps, in order, the
+    # columns the closed-window mask keeps and whose slot-1 band resolves
     grid = Grid(-16.0, 16.0, 2 ** 12)
     cfg = SweepConfig(grid_n=grid.n)
     f1 = GridFunction(grid, np.exp(-(grid.xs() / 4.0) ** 2) + 0j)
@@ -284,9 +242,8 @@ def test_engine_prune_decisions_match_mask(table):
         step = round(s / grid.spacing)
         for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
             xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
-            got = band_energy(freqs, power, xi[0], cfg.eps / s)
-            assert got == band_energy_mask(freqs, power, xi[0], cfg.eps / s)
-            if got / float(power.sum()) < 1e-12:
+            if (band_energy_mask(freqs, power, xi[0], cfg.eps / s)
+                    / float(power.sum()) < 1e-12):
                 pruned += 1
                 continue
             # the translates start at the sample x = -POS_EXTENT
@@ -311,7 +268,7 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     # one inverse FFT of the summed slot-3 spectra against one per column
     cfg = SweepConfig(theorem=theorem, ratios=(ratio,), grid_n=2 ** log2n,
                       m_xi_max=m_xi_max)
-    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     f1 = _f1(cfg, grid)
     engine = _LatticeEngine(cfg, grid, table, f1)
     f2, f3_set, _ = _family(cfg, ratio, grid)
@@ -346,7 +303,7 @@ def test_engine_rows_do_not_depend_on_order(table, theorem, log2n, ratios,
     # exactly what a fresh engine built for that row alone gives
     cfg = SweepConfig(theorem=theorem, ratios=tuple(sorted(ratios, reverse=True)),
                       grid_n=2 ** log2n, m_xi_max=m_xi_max)
-    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     f1 = _f1(cfg, grid)
     shared = _LatticeEngine(cfg, grid, table, f1)
     for ratio in ratios:
@@ -366,7 +323,7 @@ def test_f1_and_family_match_per_row_family(theorem, set_family):
     # f1 built once per sweep and the per-row rest equal the four-tuple that
     # rebuilt f1 at every ratio
     cfg = SweepConfig(theorem=theorem, set_family=set_family)
-    grid = Grid(-cfg.domain / 2, cfg.domain / 2, cfg.grid_n)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     f1 = _f1(cfg, grid)
     for delta in cfg.ratios:
         f1_ref, f2_ref, f3_set_ref, f2_measure_ref = sweep_family_per_row(

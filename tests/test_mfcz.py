@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tflab.errors import CountingConditionError
+from tflab.errors import CountingConditionError, ResolutionError
 from tflab.mfcz import (mfcz_decompose, mfcz_k_sweep, overlap_count,
                         riesz_project, verify_mfcz)
 from tflab.packets import TopDatum
@@ -148,6 +150,43 @@ def test_mfcz_invariants_random_suite(grid, params):
     # tripled maximal dyadic intervals overlap a little more than 3 in
     # Whitney-type geometry; 6 is a comfortable audited ceiling
     assert worst_overlap <= 6
+
+
+@st.composite
+def mfcz_draws(draw):
+    """conftest.mfcz_case on a 2^10 grid, a level k and a few more tops."""
+    grid = Grid(-16.0, 16.0, 2 ** 10)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f, tops, lam = mfcz_case(rng, grid, None)
+    tops += [TopDatum(DyadicInterval(scale, pos), xi) for scale, pos, xi in
+             draw(st.lists(st.tuples(st.integers(-2, 0), st.integers(-12, 11),
+                                     st.floats(-4.0, 4.0)), max_size=3))]
+    return f, tops, lam, draw(st.integers(1, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mfcz_draws())
+def test_mfcz_invariants_hypothesis(params, draw):
+    # exact reconstruction, b_Q zero off 3Q, and vanishing Fourier integrals
+    # of b_Q at Xi_Q, over 3Q
+    f, tops, lam, k = draw
+    try:
+        split = mfcz_decompose(f, tops, lam, k, 1.0, params)
+    except (CountingConditionError, ResolutionError):
+        assume(False)
+    grid = f.grid
+    err = np.abs(split.reconstruction().values - f.values).max()
+    assert err <= 1e-12 * np.abs(f.values).max()
+    l1 = lp_norm(f, 1)
+    xs = grid.xs()
+    for q, b in split.bad_parts.items():
+        tq = q.dilate(3.0)
+        sl = grid.slice_of(tq.lo, tq.hi)
+        assert not b.values[:sl.start].any() and not b.values[sl.stop:].any()
+        z = split.xi_q[q]
+        if z.size:
+            a = np.exp(-2j * np.pi * np.outer(z, xs[sl]))
+            assert np.abs(a @ b.values[sl] * grid.spacing).max() <= 1e-8 * l1
 
 
 def test_mfcz_xi_cardinality_bound(grid, params):

@@ -1,7 +1,7 @@
 """Guard against dead options and dead API: every argument a function takes
-is read, every sweep config field is read by the code that runs a sweep, and
-every name the package exports is reached by the package, the acceptance
-tests or the benchmark."""
+is read, every sweep config field is read by the code that runs a sweep and
+set by some run, and every name the package exports is reached by the
+package, the acceptance tests or the benchmark."""
 
 import ast
 import dataclasses
@@ -84,6 +84,35 @@ def test_config_guard_flags_a_validated_only_field():
     unread = _unread_config_fields([text])
     assert "seed" in unread and "grid_n" in unread
     assert not {"alpha", "theorem", "eps"} & set(unread)
+
+
+def _unset_config_fields(fields, sources) -> list[str]:
+    """Fields that no `SweepConfig(...)` call in the sources passes by keyword."""
+    passed = set()
+    for text in sources:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Call) and "SweepConfig" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                passed |= {kw.arg for kw in n.keywords}
+    return [f for f in fields if f not in passed]
+
+
+def test_every_sweep_config_field_is_set_by_a_run():
+    # a field that only unit tests set is a constant in disguise
+    paths = [SRC / "cli.py", ROOT / "tests" / "test_acceptance.py",
+             *sorted((ROOT / "bench").glob("*.py"))]
+    unset = _unset_config_fields(
+        [f.name for f in dataclasses.fields(SweepConfig)],
+        (p.read_text() for p in paths))
+    assert not unset, f"SweepConfig fields no run sets: {unset}"
+
+
+def test_config_guard_flags_a_field_no_run_sets():
+    text = ("cfg = lab.SweepConfig(theorem='T1', grid_n=4096)\n"
+            "SweepConfig(eps=0.5)\n"
+            "other(window_pad=1.0)\n")
+    fields = ["theorem", "grid_n", "eps", "window_pad"]
+    assert _unset_config_fields(fields, [text]) == ["window_pad"]
 
 
 def _names_loaded(tree: ast.Module) -> set[str]:

@@ -81,16 +81,6 @@ def test_check_well_discretized_trivial():
     assert ok
 
 
-def test_check_scale_separation_violation():
-    bands = (Band(0, 1), Band(50, 51), Band(-51, -50))
-    s = Tritile(DyadicInterval(0, 0), bands)
-    bands2 = tuple(Band(2 * b.lo, 2 * b.lo + 2) for b in bands)
-    t = Tritile(DyadicInterval(-1, 5), bands2)
-    ok, bad = check_well_discretized([s, t], scale_gap=16.0 ** 10)
-    assert not ok
-    assert any("separation gap" in b for b in bad)
-
-
 def test_random_collection_is_well_discretized(grid):
     rng = np.random.default_rng(0)
     for _ in range(5):
