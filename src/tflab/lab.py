@@ -23,7 +23,7 @@ from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
 from .packets import PacketBank, band_bins
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
-                       Report, lp_norm)
+                       Report, lp_norm, maximal_function)
 from .timefreq import (BETA, Tritile, _SizeContext, exceptional_sets,
                        gamma_from_beta, thin_well_discretized, validate_tree)
 
@@ -270,11 +270,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     f1 = _f1(cfg, grid)
     f1n = lp_norm(f1, 2.0 if cfg.theorem == "T1" else 1.0 / alpha[0])
     engine = _LatticeEngine(cfg, grid, table, f1)
+    f1_max = maximal_function(f1, 1.0 / alpha[0]) if alpha[0] > 0 else None
 
     def one(delta: float) -> SweepRow:
         try:
             f2, f3_set, f2_measure = _family(cfg, delta, grid)
-            _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=EXC_C0)
+            _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=EXC_C0,
+                                              h1_maximal=f1_max)
             frac = f3_major.measure / f3_set.measure
             lam_model, f3 = engine.evaluate(f2, f3_major)
             lam_direct = _oracle_value(cfg, f1, f2, f3)

@@ -11,6 +11,9 @@ reconstruction, support, and mean-zero invariants hold at solver precision.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -79,6 +82,51 @@ def riesz_project(h: GridFunction, window: Band,
     return g_q, h - g_q
 
 
+@functools.cache
+def _blas_thread_api():
+    """(get, set) of the loaded OpenBLAS's thread count, or None if not found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, then restore its count.
+
+    A threaded lstsq splits its sums by the thread count, so the projections'
+    bits would depend on the machine.  A no-op when no OpenBLAS is found.
+    """
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, put = api
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
                    p: float, params: OsgoodParams, *, eps: float = 0.25,
                    big_c: float = 1.0) -> MfczSplit:
@@ -128,31 +176,32 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     bad_parts: dict[DyadicInterval, GridFunction] = {}
     xi_q: dict[DyadicInterval, np.ndarray] = {}
     be_ratios = []
-    for q in qs:
-        tq = q.dilate(3.0)
-        if tq.lo < grid.x0 - 1e-12 or tq.hi > grid.x1 + 1e-12:
-            raise ResolutionError(f"3Q = [{tq.lo}, {tq.hi}) leaves the grid domain")
-        pieces = [xi_H(td, tq, bigk, params, eps) for td in live_tops]
-        pieces = [z for z in pieces if z.size]
-        if pieces:
-            finest = 1.0 / (3.0 * uk * max(td.interval.length for td in live_tops))
-            freqs = dedup_freqs(np.concatenate(pieces), finest / 100.0)
-        else:
-            freqs = np.array([])
-        xi_q[q] = freqs
+    with _one_blas_thread():
+        for q in qs:
+            tq = q.dilate(3.0)
+            if tq.lo < grid.x0 - 1e-12 or tq.hi > grid.x1 + 1e-12:
+                raise ResolutionError(f"3Q = [{tq.lo}, {tq.hi}) leaves the grid domain")
+            pieces = [xi_H(td, tq, bigk, params, eps) for td in live_tops]
+            pieces = [z for z in pieces if z.size]
+            if pieces:
+                finest = 1.0 / (3.0 * uk * max(td.interval.length for td in live_tops))
+                freqs = dedup_freqs(np.concatenate(pieces), finest / 100.0)
+            else:
+                freqs = np.array([])
+            xi_q[q] = freqs
 
-        fq_vals = np.zeros(grid.n, dtype=complex)
-        sl = grid.slice_of(q.lo, q.hi)
-        fq_vals[sl] = f.values[sl]
-        fq = GridFunction(grid, fq_vals)
-        g_q, b_q = riesz_project(fq, tq, freqs)
-        good = good + g_q.values
-        bad_parts[q] = b_q
-        fq_norm = local_norm(f, q.lo, q.hi, p)
-        if freqs.size and fq_norm > 0:
-            be = (local_norm(g_q, tq.lo, tq.hi, 2.0)
-                  / (freqs.size ** (1.0 / p - 0.5) * fq_norm))
-            be_ratios.append(be)
+            fq_vals = np.zeros(grid.n, dtype=complex)
+            sl = grid.slice_of(q.lo, q.hi)
+            fq_vals[sl] = f.values[sl]
+            fq = GridFunction(grid, fq_vals)
+            g_q, b_q = riesz_project(fq, tq, freqs)
+            good = good + g_q.values
+            bad_parts[q] = b_q
+            fq_norm = local_norm(f, q.lo, q.hi, p)
+            if freqs.size and fq_norm > 0:
+                be = (local_norm(g_q, tq.lo, tq.hi, 2.0)
+                      / (freqs.size ** (1.0 / p - 0.5) * fq_norm))
+                be_ratios.append(be)
 
     diagnostics = _diagnostics(f, good, qs, xi_q, live_tops, lam, k, p, uk, be_ratios)
     return MfczSplit(GridFunction(grid, good), bad_parts, qs, xi_q,

@@ -104,16 +104,22 @@ def rescale_check(S, f1: GridFunction, f2: GridFunction, f3: GridFunction,
 
 #: sample points per offset block of the oracle (offsets x sample points)
 _ORACLE_BLOCK = 2 ** 13
+#: samples per chunk of the oracle; each chunk runs only its own offset hull
+_ORACLE_CHUNK = 256
 
 
 def _oracle_cutoffs(fs, b, h_cut: float | None,
                     t_max: float | None) -> tuple[float, float]:
     """(h_cut, t_max) with their defaults dt and L/2, after the one check.
 
-    fs must share one grid; b and both cutoffs must be finite, and h_cut >= dt.
+    fs must share one grid and hold finite samples; b and both cutoffs must
+    be finite, and h_cut >= dt.
     """
     for f in fs[1:]:
         _same_grid(fs[0], f)
+    for j, f in enumerate(fs, 1):
+        if not np.isfinite(f.values).all():
+            raise ValueError(f"f{j} has non-finite samples")
     if not all(map(math.isfinite, b)):
         raise ValueError(f"b must be finite, got {tuple(map(float, b))}")
     grid = fs[0].grid
@@ -127,6 +133,33 @@ def _oracle_cutoffs(fs, b, h_cut: float | None,
     return h_cut, t_max
 
 
+def _offset_hull(xa: float, xb: float, b, hulls, dt: float, i0: int,
+                 i1: int) -> tuple[int, int]:
+    """Offsets [ia, ib) within [i0, i1) where some sample in [xa, xb] can
+    have both factors of its +t term, or of its -t term, nonzero.
+
+    hulls[j] = (lo, hi) holds every x where factor j can be nonzero; the
+    factor at x -/+ b_j t needs b_j t in [xa - hi, xb - lo] (for -t, -b_j t).
+    b_j = 0 asks that [xa, xb] meet [lo, hi] and does not bound t.
+    """
+    ia, ib = i1, i0
+    for sign in (1.0, -1.0):
+        tlo, thi = (i0 - 1) * dt, (i1 + 1) * dt
+        for bj, (lo, hi) in zip(b, hulls):
+            c, a, z = sign * bj, xa - hi, xb - lo
+            if c > 0:
+                tlo, thi = max(tlo, a / c), min(thi, z / c)
+            elif c < 0:
+                tlo, thi = max(tlo, z / c), min(thi, a / c)
+            elif a > 0 or z < 0:
+                tlo = math.inf
+        if tlo <= thi:
+            # one offset of slack either side for rounding
+            ia = min(ia, math.ceil(tlo / dt - 0.5) - 1)
+            ib = max(ib, math.floor(thi / dt - 0.5) + 2)
+    return max(ia, i0), min(ib, i1)
+
+
 def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
             idx: np.ndarray) -> np.ndarray:
     """BHT_b(f1, f2) at the grid samples idx, by symmetric p.v. quadrature.
@@ -136,10 +169,16 @@ def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
     integrands exactly).  Signals are linearly interpolated, zero outside the
     domain, so the offsets also end before the first t with max|b_j| t >= L:
     from there one factor of every term is an exact zero.  At b = 0 the +t
-    and -t terms cancel exactly, and no offset runs.  Offsets go in blocks of
-    at most _ORACLE_BLOCK sample points, one 2-D interpolation per block, and
-    are summed one at a time in ascending order, so a sample's value depends
-    neither on idx nor on the block size.
+    and -t terms cancel exactly, and no offset runs.
+
+    The samples go in chunks of at most _ORACLE_CHUNK, and each chunk runs
+    only the offsets of its `_offset_hull`: off it every term has a factor
+    outside that factor's nonzero samples padded by two cells, so the term
+    is an exact (signed) zero, and adding it leaves the sum's bits as they
+    are.  Offsets go in blocks of at most _ORACLE_BLOCK sample points, one
+    2-D interpolation per block, and are summed one at a time in ascending
+    order, so a sample's value depends neither on idx nor on the chunk or
+    block size.  Every sample must be finite (`_oracle_cutoffs`).
     """
     grid = f1.grid
     dt = grid.spacing
@@ -158,17 +197,29 @@ def _bht_on(f1: GridFunction, f2: GridFunction, b, h_cut: float, t_max: float,
            and bmax * (i1 + 0.5) * dt < grid.length):
         i1 += 1
     acc = np.zeros(pts.size, dtype=complex)
-    rows = max(1, _ORACLE_BLOCK // pts.size)
-    for lo in range(i0, i1, rows):
-        t = (np.arange(lo, min(lo + rows, i1)) + 0.5)[:, None] * dt
-        plus = sample(f1, pts - b[0] * t) * sample(f2, pts - b[1] * t)
-        minus = sample(f1, pts + b[0] * t) * sample(f2, pts + b[1] * t)
-        # (plus - minus) * (dt / t) in place, with fewer temporaries; not the
-        # products: NumPy rounds an in-place one-element product differently
-        plus -= minus
-        plus *= dt / t
-        for row in plus:
-            acc += row
+    hulls = []
+    for f in (f1, f2):
+        nz = np.flatnonzero(f.values)
+        if nz.size == 0:
+            return acc
+        hulls.append((xs[nz[0]] - 2 * dt, xs[nz[-1]] + 2 * dt))
+    for c0 in range(0, pts.size, _ORACLE_CHUNK):
+        p = pts[c0:c0 + _ORACLE_CHUNK]
+        out = acc[c0:c0 + _ORACLE_CHUNK]
+        ia, ib = _offset_hull(float(p.min()), float(p.max()), b, hulls, dt,
+                              i0, i1)
+        rows = max(1, _ORACLE_BLOCK // p.size)
+        for lo in range(ia, ib, rows):
+            t = (np.arange(lo, min(lo + rows, ib)) + 0.5)[:, None] * dt
+            plus = sample(f1, p - b[0] * t) * sample(f2, p - b[1] * t)
+            minus = sample(f1, p + b[0] * t) * sample(f2, p + b[1] * t)
+            # (plus - minus) * (dt / t) in place, with fewer temporaries; not
+            # the products: NumPy rounds an in-place one-element product
+            # differently
+            plus -= minus
+            plus *= dt / t
+            for row in plus:
+                out += row
     return acc
 
 

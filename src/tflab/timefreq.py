@@ -491,13 +491,15 @@ def forest_counting_norms(forest: Forest, grid: Grid, params: OsgoodParams,
 # exceptional sets
 
 def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
-                     alpha, *, c0: float = 1.0
+                     alpha, *, c0: float = 1.0,
+                     h1_maximal: GridFunction | None = None
                      ) -> tuple[IntervalSet, IntervalSet, IntervalSet]:
     """Superlevel exceptional set, its dyadic 3-fold closure, and the major subset.
 
     The threshold constant doubles from c0 until the closure removes at most
     three quarters of the reference set, so |F3| <= 4 |F3'| always holds on
-    return.
+    return.  h1_maximal, when given, must be `maximal_function(h1, 1/a1)`:
+    a sweep builds it once for the f1 all its rows share.
     """
     a1, a2, a3 = alpha
     if abs(a1 + a2 + a3 - 1.0) > 1e-9:
@@ -509,12 +511,13 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
     if measure <= 0:
         raise ValueError("reference set must have positive measure")
     maximal = []
-    for h, a in ((h1, a1), (h2, a2)):
+    for h, a, m in ((h1, a1, h1_maximal), (h2, a2, None)):
         if a <= 0:
             continue  # p = inf: the maximal function equals the sup norm, empty level set
         p = 1.0 / a
-        maximal.append((maximal_function(h, p).values.real,
-                        lp_norm(h, p) / measure**a))
+        if m is None:
+            m = maximal_function(h, p)
+        maximal.append((m.values.real, lp_norm(h, p) / measure**a))
     c = c0
     for _ in range(64):
         mask = np.zeros(grid.n, dtype=bool)

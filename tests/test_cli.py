@@ -142,6 +142,23 @@ def test_cli_oracle_bad_h_cut(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_cli_oracle_non_finite_sample(tmp_path, capsys):
+    # a signal file holding a nan is an error line, never a traceback or an
+    # output built from it
+    g = Grid(-8.0, 8.0, 2 ** 6)
+    good, bad = tmp_path / "f.csv", tmp_path / "nan.csv"
+    write_gridfunction_csv(GridFunction(g, np.exp(-g.xs() ** 2) + 0j), good)
+    lines = good.read_text().splitlines()
+    x, _, im = lines[4].split(",")
+    bad.write_text("\n".join(lines[:4] + [f"{x},nan,{im}"] + lines[5:]) + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--f1", str(good), "--f2", str(bad),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_sweep_has_no_seed(capsys):
     # the sweep is deterministic; a --seed flag would change nothing
     with pytest.raises(SystemExit) as exc:

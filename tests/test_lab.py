@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from reference import (band_energy_mask, lattice_evaluate_loop,
                        sweep_family_per_row)
-from tflab import lab
+from tflab import lab, timefreq
 from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, THEOREMS,
                        SweepConfig, SweepRow, _f1, _family, _LatticeEngine,
                        cantor_intervals, emit_report, fit_growth, in_hexagon,
                        run_sweep, run_tree_suite, star, suite_direction)
 from tflab.modelsum import coefficient_profile
 from tflab.osgood import InghamTable
+from tflab.packets import band_bins
 from tflab.sampling import Grid, GridFunction
 from tflab.timefreq import exceptional_sets
 
@@ -227,35 +229,70 @@ def test_tree_suite_runs():
 # ---------------------------------------------------------------------------
 # the engine's band prune against the full-length mask
 
-def test_engine_prune_decisions_match_mask(table):
-    # every column of a T1-shaped lattice: the engine keeps, in order, the
-    # columns the closed-window mask keeps and whose slot-1 band resolves
-    grid = Grid(-16.0, 16.0, 2 ** 12)
+def _prune_matches_mask(table, f1: GridFunction) -> dict:
+    """Assert that the engine keeps, in order, the columns the closed-window
+    mask keeps and whose slot-1 band resolves; return each column's mask
+    energy share, keyed by (scale, m)."""
+    grid = f1.grid
     cfg = SweepConfig(grid_n=grid.n)
-    f1 = GridFunction(grid, np.exp(-(grid.xs() / 4.0) ** 2) + 0j)
     engine = _LatticeEngine(cfg, grid, table, f1)
     fh1 = np.fft.fft(f1.values)
     power = np.abs(fh1) ** 2
     freqs = grid.freqs()
-    pruned, kept = 0, []
+    share, kept = {}, []
     for s in engine.scales:
         step = round(s / grid.spacing)
         for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
             xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
-            if (band_energy_mask(freqs, power, xi[0], cfg.eps / s)
-                    / float(power.sum()) < 1e-12):
-                pruned += 1
+            share[s, mxi] = (band_energy_mask(freqs, power, xi[0], cfg.eps / s)
+                             / float(power.sum()))
+            if share[s, mxi] < 1e-12:
                 continue
             # the translates start at the sample x = -POS_EXTENT
             r = grid.index_of(-POS_EXTENT) % step
             g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table, step, r)
             if g1 is not None:
                 kept.append((s, step, r, xi[1], xi[2], g1))
-    assert 0 < pruned < len(engine.scales) * (2 * cfg.m_xi_max + 1)
     assert len(engine.columns) == len(kept)
     for (s, step, r, slots, xi2, xi3, g1), k in zip(engine.columns, kept):
         assert (s, step, r, xi2, xi3) == k[:5]
         assert np.array_equal(g1, k[5][slots])
+    return share
+
+
+def test_engine_prune_decisions_match_mask(table):
+    # every column of a T1-shaped lattice
+    grid = Grid(-16.0, 16.0, 2 ** 12)
+    f1 = GridFunction(grid, np.exp(-(grid.xs() / 4.0) ** 2) + 0j)
+    share = _prune_matches_mask(table, f1)
+    assert 0 < sum(v < 1e-12 for v in share.values()) < len(share)
+
+
+def test_engine_prune_sees_near_threshold_energy(table):
+    # f1 is a constant plus two bins of f1's spectrum near the 1e-12
+    # threshold, each on an edge bin of one s = 1/2 band that no other band
+    # holds: 1.5e-12 on the last bin of an 8-bin band (kept), 0.7e-12 on the
+    # first bin of another (pruned).  A prune that read every other bin, or
+    # cut at 1e-13 or 2e-12, would decide one of them the other way.
+    grid = Grid(-16.0, 16.0, 2 ** 12)
+    cfg = SweepConfig(grid_n=grid.n)
+    gamma1 = timefreq.gamma_from_beta(np.asarray(timefreq.BETA))[0]
+    above, below = (-39, 1.5e-12), (37, 0.7e-12)
+    spectrum = np.zeros(grid.n, complex)
+    spectrum[0] = 1.0
+    edges = {}
+    for (mxi, level), end in ((above, -1), (below, 0)):
+        bins, _ = band_bins(grid, 0.5, gamma1 * mxi / 0.5, cfg.eps)
+        assert bins.size == 8
+        edges[mxi] = bins
+        spectrum[bins[end]] = np.sqrt(level)
+    f1 = GridFunction(grid, np.fft.ifft(spectrum))
+    share = _prune_matches_mask(table, f1)
+    assert 1e-12 < share[0.5, above[0]] < 2e-12
+    assert 1e-13 < share[0.5, below[0]] < 1e-12
+    # the kept column's energy sits on its last bin, which bins[::2] misses
+    power = np.abs(np.fft.fft(f1.values)) ** 2
+    assert power[edges[above[0]][::2]].sum() / power.sum() < 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +352,34 @@ def test_engine_rows_do_not_depend_on_order(table, theorem, log2n, ratios,
             f2, f3_major)
         assert lam == lam_fresh
         assert np.array_equal(f3.values, f3_fresh.values)
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T3", "C15"])
+def test_sweep_rows_match_rows_that_rebuild_f1_maximal(theorem):
+    # f1's maximal function, built once per sweep, gives every row what
+    # exceptional_sets gives when it rebuilds it at each row
+    cfg = SweepConfig(theorem=theorem, ratios=(0.5, 2.0 ** -3, 2.0 ** -6),
+                      grid_n=2 ** 12)
+    built, passed = [], []
+    maximal_function = timefreq.maximal_function
+
+    def counted(h, p):
+        built.append(h)
+        return maximal_function(h, p)
+
+    def per_row(*args, h1_maximal=None, **kwargs):
+        passed.append(h1_maximal is not None)
+        return exceptional_sets(*args, **kwargs)
+
+    with mock.patch.object(timefreq, "maximal_function", counted):
+        rows = run_sweep(cfg)
+    with mock.patch.object(lab, "exceptional_sets", per_row):
+        rebuilt = run_sweep(cfg)
+    # the rows built f2's maximal function only
+    assert len(built) == len(cfg.ratios)
+    assert passed == [True] * len(cfg.ratios)
+    assert all(r.status == "ok" for r in rows)
+    assert [repr(astuple(r)) for r in rows] == [repr(astuple(r)) for r in rebuilt]
 
 
 @pytest.mark.parametrize("set_family", ["interval", "cantor"])

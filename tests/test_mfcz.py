@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tflab import mfcz
 from tflab.errors import CountingConditionError, ResolutionError
 from tflab.mfcz import (mfcz_decompose, mfcz_k_sweep, overlap_count,
                         riesz_project, verify_mfcz)
@@ -236,3 +242,80 @@ def test_sweep_diagnostics_rows(grid, params, table):
     ks = {r[0] for r in rows}
     assert ks == {1, 2}
     assert all(r[3] == rep.stats["slope"] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# projections at one BLAS thread
+
+_DIGEST = """
+import hashlib
+import numpy as np
+from conftest import mfcz_case
+from tflab.mfcz import mfcz_decompose
+from tflab.osgood import OsgoodParams
+from tflab.sampling import Grid
+grid, params = Grid(-16.0, 16.0, 2 ** 12), OsgoodParams(1.0)
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for k in (1, 2, 3, 4):
+    f, tops, lam = mfcz_case(rng, grid, params)
+    split = mfcz_decompose(f, tops, lam, k, 1.0, params, big_c=0.5)
+    h.update(split.good.values.tobytes())
+    for q in split.q_intervals:
+        h.update(split.bad_parts[q].values.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_projections_do_not_depend_on_blas_threads():
+    # a threaded lstsq changed these bits between 1 and 2 threads
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                            os.environ.get("PYTHONPATH", "")])
+    digests = [subprocess.run(
+        [sys.executable, "-c", _DIGEST], capture_output=True, text=True,
+        check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                             PYTHONPATH=path)).stdout
+               for threads in ("1", "2")]
+    assert len(digests[0]) == 65
+    assert digests[0] == digests[1]
+
+
+@pytest.fixture()
+def blas_at_two():
+    """The loaded OpenBLAS's (get, set) at two threads; the count is put back."""
+    api = mfcz._blas_thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, put = api
+    old = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(old)
+
+
+def test_one_blas_thread_inside_and_restored(grid, params, blas_at_two):
+    get = blas_at_two
+    f, tops, lam = mfcz_case(np.random.default_rng(0), grid, params)
+    seen = []
+
+    def project(*args):
+        seen.append(get())
+        return riesz_project(*args)
+
+    with mock.patch.object(mfcz, "riesz_project", project):
+        split = mfcz_decompose(f, tops, lam, 1, 1.0, params)
+    assert split.q_intervals and seen == [1] * len(split.q_intervals)
+    assert get() == 2
+
+
+def test_blas_threads_restored_after_an_error(grid, params, blas_at_two):
+    get = blas_at_two
+    f, tops, lam = mfcz_case(np.random.default_rng(0), grid, params)
+    err = ResolutionError("3Q leaves the grid domain")
+    with mock.patch.object(mfcz, "xi_H", side_effect=err):
+        with pytest.raises(ResolutionError, match="3Q"):
+            mfcz_decompose(f, tops, lam, 1, 1.0, params)
+    assert get() == 2

@@ -274,12 +274,23 @@ def oracle_draws(draw):
     dt = grid.spacing
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
-    def signal(complex_valued: bool) -> GridFunction:
-        v = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_valued else 0j)
+    def signal() -> GridFunction:
+        # full, compactly supported, an interval's indicator, or zero: the
+        # offset hulls of the fast path see every kind of support
+        kind = draw(st.sampled_from(["full", "compact", "indicator", "zero"]))
+        v = rng.normal(size=n) + (1j * rng.normal(size=n)
+                                  if draw(st.booleans()) else 0j)
+        if kind == "indicator":
+            v = np.ones(n, dtype=complex)
+        if kind != "full":
+            lo = draw(st.integers(0, n - 1))
+            hi = draw(st.integers(lo + 1, n)) if kind != "zero" else lo
+            v[:lo] = 0
+            v[hi:] = 0
         return GridFunction(grid, v)
 
-    f1 = signal(draw(st.booleans()))
-    f2 = signal(draw(st.booleans()))
+    f1 = signal()
+    f2 = signal()
     v3 = rng.normal(size=n) + 1j * rng.normal(size=n)
     support = draw(st.sampled_from(["scattered", "empty", "single", "full"]))
     if support == "scattered":
@@ -310,17 +321,26 @@ def oracle_draws(draw):
         on = (draw(st.integers(0, n // 2)) + 0.5) * dt
         t_max = {"on": on, "below": math.nextafter(on, -math.inf),
                  "above": math.nextafter(on, math.inf)}[t_max]
-    # small caps split the offsets into many blocks, the last one partial
-    cap = draw(st.sampled_from([1, 5, 64, modelsum._ORACLE_BLOCK]))
-    return f1, f2, f3, beta, h_cut, t_max, cap
+    # small caps split the offsets into many blocks, the last one partial;
+    # small chunks split the samples into many offset hulls, the last chunk
+    # partial (at most 32 chunks: each adds a pass over the offsets)
+    block = modelsum._ORACLE_BLOCK
+    cap, chunk = draw(st.sampled_from([(1, n), (5, n), (64, n), (block, 1),
+                                       (block, 3), (block, 37),
+                                       (block, modelsum._ORACLE_CHUNK)]))
+    return f1, f2, f3, beta, h_cut, t_max, cap, max(chunk, n // 32)
+
+
+def patched_sizes(cap: int, chunk: int):
+    return mock.patch.multiple(modelsum, _ORACLE_BLOCK=cap, _ORACLE_CHUNK=chunk)
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_draws())
 def test_bht_direct_matches_loop(draw):
-    f1, f2, _f3, beta, h_cut, t_max, cap = draw
+    f1, f2, _f3, beta, h_cut, t_max, cap, chunk = draw
     b = (beta[0] - beta[2], beta[1] - beta[2])
-    with mock.patch.object(modelsum, "_ORACLE_BLOCK", cap):
+    with patched_sizes(cap, chunk):
         got = bht_direct(f1, f2, b, h_cut, t_max)
     want = bht_direct_loop(f1, f2, b, f1.grid.spacing if h_cut is None else h_cut,
                            t_max)
@@ -331,8 +351,8 @@ def test_bht_direct_matches_loop(draw):
 @settings(max_examples=300, deadline=None)
 @given(oracle_draws())
 def test_lambda_direct_matches_full_grid_pairing(draw):
-    f1, f2, f3, beta, h_cut, t_max, cap = draw
-    with mock.patch.object(modelsum, "_ORACLE_BLOCK", cap):
+    f1, f2, f3, beta, h_cut, t_max, cap, chunk = draw
+    with patched_sizes(cap, chunk):
         got = lambda_direct(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
     assert got == lambda_direct_full(f1, f2, f3, beta, h_cut=h_cut, t_max=t_max)
 
@@ -401,6 +421,23 @@ def test_oracle_rejects_bad_cutoffs(h_cut, t_max, b1):
         bht_direct(f, f, (b1, 0.5), h_cut, t_max)
     with pytest.raises(ValueError, match="^(h_cut|t_max|b) "):
         lambda_direct(f, f, f, (b1, 0.0, 0.0), h_cut=h_cut, t_max=t_max)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_oracle_rejects_non_finite_samples(j, bad):
+    # skipping offsets is exact only for finite samples: nan * 0 is nan, so a
+    # non-finite sample is an error that names its function, even where the
+    # terms it would enter are skipped
+    g = Grid(-8.0, 8.0, 2 ** 6)
+    fs = [GridFunction(g, ((g.xs() >= 0) & (g.xs() < 1)).astype(complex))
+          for _ in range(3)]
+    fs[j - 1].values[-1] = bad
+    with pytest.raises(ValueError, match=f"^f{j} has non-finite samples"):
+        lambda_direct(*fs, BETA)
+    if j < 3:
+        with pytest.raises(ValueError, match=f"^f{j} has non-finite samples"):
+            bht_direct(fs[0], fs[1], (1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
