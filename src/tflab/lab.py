@@ -78,6 +78,10 @@ class SweepConfig:
             raise ValueError("ratios must be finite, positive and strictly decreasing")
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        # the oracle decimates the grid by grid_n // oracle_n
+        if self.oracle_n < 2 or self.oracle_n & (self.oracle_n - 1):
+            raise ValueError(
+                f"oracle_n must be a power of two >= 2, got {self.oracle_n}")
         a1, a2, _ = alpha = self.resolved_alpha()
         if not in_hexagon(alpha):
             raise ValueError("alpha outside the admissible hexagon")

@@ -145,6 +145,8 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if not (math.isfinite(big_c) and big_c > 0):
         raise ValueError(f"big_c must be finite and positive, got {big_c}")
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     grid = f.grid

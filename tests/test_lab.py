@@ -48,6 +48,11 @@ def test_sweep_config_validation():
     # T1 and T3 divide by neither alpha2 nor 1 - alpha2
     assert SweepConfig(theorem="T3", alpha=(0.5, 1.0, -0.5)).alpha[1] == 1.0
     assert SweepConfig(eps=1.0).eps == 1.0
+    # the oracle's decimated grid needs a power of two of at least 2 samples
+    for oracle_n in (1, 3):
+        with pytest.raises(ValueError, match="oracle_n"):
+            SweepConfig(oracle_n=oracle_n)
+    assert SweepConfig(oracle_n=2).oracle_n == 2
 
 
 @pytest.mark.parametrize("kwargs", [

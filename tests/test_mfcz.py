@@ -124,6 +124,9 @@ def test_mfcz_validation(grid, params):
     for big_c in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="big_c"):
             mfcz_decompose(f, [], 1.0, 2, 1.0, params, big_c=big_c)
+    for eps in (-1.0, 0.0, 5.0, math.nan):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got"):
+            mfcz_decompose(f, [], 1.0, 2, 1.0, params, eps=eps)
 
 
 def test_mfcz_invariants_random_suite(grid, params):
