@@ -109,7 +109,7 @@ def _cmd_sweep(args) -> int:
         set_family=args.set_family,
         ratios=tuple(args.ratios) if args.ratios
         else tuple(2.0 ** -j for j in range(1, args.dyadic + 1)),
-        grid_n=args.grid_n, eps=args.eps, oracle_n=args.oracle_n)
+        grid_n=args.grid_n, eps=args.eps)
     rows = lab.run_sweep(cfg)
     fits = {}
     try:
@@ -182,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use ratios 2^-1 .. 2^-N")
     p.add_argument("--grid-n", type=int, default=2 ** 15)
     p.add_argument("--eps", type=float, default=2.0 ** -4)
-    p.add_argument("--oracle-n", type=int, default=2 ** 12,
-                   help="samples of the direct oracle's decimated grid")
     p.add_argument("--out-csv")
     p.add_argument("--out-svg")
     p.set_defaults(func=_cmd_sweep)

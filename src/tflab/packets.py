@@ -112,14 +112,11 @@ def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     bins, values = packet_hat(grid, td.interval.length, td.xi, eps, table)
-    n = grid.n
-    # the phase ramp on the band only, where the spectrum can be nonzero; signed
-    # bin numbers times 1/(n h) are fftfreq's frequencies bit for bit, so the
-    # products are those of a full-length ramp
-    freqs = ((bins + n // 2) % n - n // 2) * (1.0 / (n * grid.spacing))
-    hat = np.zeros(n, dtype=complex)
-    hat[bins] = values * np.exp(-2j * np.pi * freqs * (td.interval.center - grid.x0))
-    vals = np.fft.ifft(hat) * (n / grid.length)
+    # the phase ramp on the band only: off it the spectrum is an exact zero
+    hat = np.zeros(grid.n, dtype=complex)
+    hat[bins] = values * np.exp(
+        -2j * np.pi * grid.freqs()[bins] * (td.interval.center - grid.x0))
+    vals = np.fft.ifft(hat) * (grid.n / grid.length)
     return WavePacket(td, eps, GridFunction(grid, vals))
 
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tflab import lab, timefreq
+from tflab import timefreq
 from tflab.cli import build_parser, main
 from tflab.sampling import (DyadicInterval, Grid, GridFunction,
                             read_gridfunction_csv, write_gridfunction_csv)
@@ -82,35 +82,6 @@ def test_cli_sweep_singular_alpha(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "alpha" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("oracle_n", ["0", "-4", "3000"])
-def test_cli_sweep_bad_oracle_n(capsys, oracle_n):
-    # 0 divided by zero, -4 ran at full resolution, 3000 failed on the grid
-    assert main(["sweep", "--ratios", "0.5", "--grid-n", "1024",
-                 "--oracle-n", oracle_n]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: oracle_n") and f"got {oracle_n}" in err
-    assert "Traceback" not in err
-
-
-def test_cli_sweep_oracle_n_reaches_the_config(tmp_path, capsys):
-    # at n = 2048 the default oracle_n = 4096 runs the oracle undecimated,
-    # so --oracle-n 1024 changes lambda_direct
-    def rows(path):
-        return path.read_text().splitlines()
-
-    out = {}
-    for oracle_n in (1024, 4096):
-        out[oracle_n] = tmp_path / f"cli-{oracle_n}.csv"
-        assert main(["sweep", "--ratios", "0.5", "--grid-n", "2048",
-                     "--oracle-n", str(oracle_n),
-                     "--out-csv", str(out[oracle_n])]) == 0
-    ref = tmp_path / "ref.csv"
-    cfg = lab.SweepConfig(ratios=(0.5,), grid_n=2048, oracle_n=1024)
-    lab.emit_report(lab.run_sweep(cfg), {}, ref, None)
-    assert rows(out[1024]) == rows(ref)
-    assert rows(out[1024]) != rows(out[4096])
 
 
 @pytest.mark.parametrize("x_max", ["inf", "0"])
