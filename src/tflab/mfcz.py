@@ -335,6 +335,9 @@ def mfcz_k_sweep(f: GridFunction, tops: list[TopDatum], params: OsgoodParams,
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     ks = list(ks)
+    if len(ks) < 2:
+        raise ValueError(f"a k-sweep needs at least two k values to fit a "
+                         f"slope, got {ks}")
     stats: dict[str, float] = {}
     values = []
     for k in ks:
@@ -348,7 +351,7 @@ def mfcz_k_sweep(f: GridFunction, tops: list[TopDatum], params: OsgoodParams,
     floor = 1e-300
     y = np.log(np.maximum(values, floor))
     x = np.asarray(ks, dtype=float)
-    slope = float(np.polyfit(x, y, 1)[0]) if len(ks) >= 2 else 0.0
+    slope = float(np.polyfit(x, y, 1)[0])
     stats["slope"] = slope
     notes = [] if all(v > 0 for v in values) else ["zero statistic encountered"]
     return Report(passed=slope < 0, stats=stats, notes=notes)

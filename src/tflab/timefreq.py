@@ -230,8 +230,17 @@ def thin_well_discretized(S, r_const: float = R_CONST) -> list[Tritile]:
 class _SizeContext:
     """Candidate tops and frequency regions over slot-j coefficient magnitudes.
 
-    `coeff2[i]` is |<f, phi_s^j>|^2 for the i-th member; the geometry (tops,
-    xi-regions, containment, lacunarity) is built from the member list alone.
+    `coeff2[i]` is |<f, phi_s^j>|^2 for the i-th member.  The geometry is
+    built from the members' integer arrays `scale` and `pos`:
+
+    - the candidate tops (`top_scale`, `top_pos`) are the members' dyadic
+      ancestor chains, pos >> (k - scale) up to the scale of twice the
+      members' span, in sorted (scale, pos) order;
+    - `contain[t, i]` says top t contains member i;
+    - `xi_regions` are the midpoints between the members' sorted 2- and
+      R-window endpoints, and `lac[r, i]` says region r is lacunary for
+      member i.
+
     Block values for every (top, region) pair reduce to one matrix product,
     which keeps the greedy selection loop quadratic rather than cubic.
     """
@@ -242,12 +251,15 @@ class _SizeContext:
         self.coeff2 = coeff2
         self.centers = np.array([s.freqs[j - 1].center for s in self.S])
         self.widths = np.array([s.freqs[j - 1].length for s in self.S])
-        self.tops = self._candidate_tops()
+        self.scale = np.array([s.space.scale for s in self.S], dtype=np.int64)
+        self.pos = np.array([s.space.pos for s in self.S], dtype=np.int64)
+        self.top_scale, self.top_pos = self._candidate_tops()
         self.xi_regions = self._candidate_freqs()
-        self.contain = np.array(
-            [[top.contains(s.space) for s in self.S] for top in self.tops])
-        self.lac = np.array([self.lacunary_mask(xi) for xi in self.xi_regions])
-        self.top_len = np.array([t.length for t in self.tops])
+        d = self.top_scale[:, None] - self.scale
+        self.contain = (d >= 0) & (
+            self.pos >> np.maximum(d, 0) == self.top_pos[:, None])
+        self.lac = self.lacunary_mask(self.xi_regions[:, None])
+        self.top_len = np.ldexp(1.0, self.top_scale)
 
     @classmethod
     def of(cls, S, f: GridFunction, j: int, bank: PacketBank) -> _SizeContext:
@@ -261,30 +273,34 @@ class _SizeContext:
         return _SizeContext([s for s, k in zip(self.S, keep) if k],
                             self.coeff2[keep], self.j)
 
-    def _candidate_tops(self) -> list[DyadicInterval]:
+    def _candidate_tops(self) -> tuple[np.ndarray, np.ndarray]:
         if not self.S:
-            return []
-        span_lo = min(s.space.lo for s in self.S)
-        span_hi = max(s.space.hi for s in self.S)
-        max_scale = math.ceil(math.log2(max(span_hi - span_lo, 1e-12))) + 1
-        tops = set()
-        for s in self.S:
-            q = s.space
-            while q.scale <= max_scale:
-                tops.add(q)
-                q = q.parent()
-        return sorted(tops)
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        # the coarsest candidate top is at least twice the members' span
+        length = np.ldexp(1.0, self.scale)
+        span = ((self.pos + 1) * length).max() - (self.pos * length).min()
+        max_scale = math.ceil(math.log2(max(span, 1e-12))) + 1
+        ks = np.arange(self.scale.min(), max_scale + 1)
+        d = ks[:, None] - self.scale
+        up = d >= 0
+        scale = np.broadcast_to(ks[:, None], d.shape)[up]
+        pos = (self.pos >> np.maximum(d, 0))[up]
+        # unique rows in (scale, pos) order, the order of sorted intervals;
+        # np.unique would do the same but imports numpy.ma, 1.5 MB resident
+        order = np.lexsort((pos, scale))
+        scale, pos = scale[order], pos[order]
+        new = np.ones(scale.size, dtype=bool)
+        new[1:] = (scale[1:] != scale[:-1]) | (pos[1:] != pos[:-1])
+        return scale[new], pos[new]
 
     def _candidate_freqs(self) -> np.ndarray:
-        pts = set()
-        for c, w in zip(self.centers, self.widths):
-            for dil in (2.0, R_CONST):
-                pts.add(c - dil * w / 2)
-                pts.add(c + dil * w / 2)
-        pts = sorted(pts)
-        return np.array([0.5 * (a + b) for a, b in zip(pts, pts[1:]) if b > a])
+        c, w = self.centers, self.widths
+        pts = np.sort(np.concatenate([c - 2.0 * w / 2, c + 2.0 * w / 2,
+                                      c - R_CONST * w / 2,
+                                      c + R_CONST * w / 2]))
+        return (0.5 * (pts[:-1] + pts[1:]))[pts[1:] > pts[:-1]]
 
-    def lacunary_mask(self, xi: float) -> np.ndarray:
+    def lacunary_mask(self, xi) -> np.ndarray:
         d = np.abs(xi - self.centers)
         return (d < R_CONST * self.widths / 2) & (d >= self.widths)
 
@@ -300,7 +316,7 @@ class _SizeContext:
     @cached_property
     def size(self) -> float:
         """The largest lacunary block value over every member (0 when empty)."""
-        if not self.tops:
+        if not self.top_scale.size:
             return 0.0
         return float(self.block_table(np.ones(len(self.S), dtype=bool)).max())
 
@@ -323,15 +339,17 @@ class _SizeContext:
         for direction in (1.0, -1.0):
             while True:
                 vals = self.block_table(alive)
-                heavy = np.argwhere(vals > sigma / 2)
-                if heavy.size == 0:
+                ts, rs = np.nonzero(vals > sigma / 2)
+                if ts.size == 0:
                     break
-                cands = [(direction * self.xi_regions[r], -self.tops[t].length,
-                          self.tops[t].scale, self.tops[t].pos, t, r)
-                         for t, r in heavy]
-                cands.sort()
-                _, _, _, _, t, r = cands[0]
-                top, xi = self.tops[t], float(self.xi_regions[r])
+                # tops are sorted by (scale, pos), so within one scale the
+                # row index orders them lexicographically
+                i = np.lexsort((ts, -self.top_scale[ts],
+                                direction * self.xi_regions[rs]))[0]
+                t, r = ts[i], rs[i]
+                top = DyadicInterval(int(self.top_scale[t]),
+                                     int(self.top_pos[t]))
+                xi = float(self.xi_regions[r])
                 mem = alive & self.contain[t] & self.window_mask(xi)
                 members = tuple(s for s, m in zip(self.S, mem) if m)
                 trees.append(_make_tree(top, xi, members, self.j))

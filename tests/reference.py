@@ -383,11 +383,18 @@ class CachingPacketBank:
 
 
 class SizeContextRef:
-    def __init__(self, S, f: GridFunction, j: int, bank):
+    """A size context whose geometry is built by loops over the members.
+
+    Candidate tops (sorted dyadic ancestors up to twice the members' span),
+    xi-regions (midpoints between sorted window endpoints), and the `contain`
+    and `lac` tables, one `DyadicInterval.contains` or `lacunary_mask` call
+    per entry; `coeff2[i]` is member i's squared coefficient magnitude.
+    """
+
+    def __init__(self, S, coeff2, j: int):
         self.S = list(S)
         self.j = j
-        self.coeff2 = np.array(
-            [abs(bank.coefficient(f, s.tile_datum(j))) ** 2 for s in self.S])
+        self.coeff2 = coeff2
         self.centers = np.array([s.freqs[j - 1].center for s in self.S])
         self.widths = np.array([s.freqs[j - 1].length for s in self.S])
         self.tops = self._candidate_tops()
@@ -427,6 +434,12 @@ class SizeContextRef:
     def window_mask(self, xi):
         return np.abs(xi - self.centers) < R_CONST * self.widths / 2
 
+    @classmethod
+    def of(cls, S, f: GridFunction, j: int, bank):
+        S = list(S)
+        return cls(S, np.array(
+            [abs(bank.coefficient(f, s.tile_datum(j))) ** 2 for s in S]), j)
+
     def block_table(self, alive):
         weighted = self.contain * (alive * self.coeff2)
         mass = weighted @ self.lac.T
@@ -444,7 +457,7 @@ def collection_size_ref(f, S, j, bank) -> float:
     S = list(S)
     if not S:
         return 0.0
-    ctx = SizeContextRef(S, f, j, bank)
+    ctx = SizeContextRef.of(S, f, j, bank)
     return ctx.best(np.ones(len(S), dtype=bool))[0]
 
 
@@ -454,10 +467,15 @@ def size_lemma_split_ref(S, f, j, sigma, bank):
         raise ValueError("sigma must be positive")
     if not S:
         return [], Forest(())
-    ctx = SizeContextRef(S, f, j, bank)
-    alive = np.ones(len(S), dtype=bool)
-    if ctx.best(alive)[0] > sigma * (1 + 1e-9):
+    ctx = SizeContextRef.of(S, f, j, bank)
+    if ctx.best(np.ones(len(S), dtype=bool))[0] > sigma * (1 + 1e-9):
         raise ValueError(f"collection size exceeds sigma = {sigma}")
+    return greedy_split_ref(ctx, sigma)
+
+
+def greedy_split_ref(ctx, sigma):
+    """The size lemma's greedy loop over a built context: (rest, forest)."""
+    alive = np.ones(len(ctx.S), dtype=bool)
     trees = []
     for direction in (1.0, -1.0):
         while True:
@@ -473,7 +491,7 @@ def size_lemma_split_ref(S, f, j, sigma, bank):
             top, xi = ctx.tops[t], float(ctx.xi_regions[r])
             mem = alive & ctx.contain[t] & ctx.window_mask(xi)
             members = tuple(s for s, m in zip(ctx.S, mem) if m)
-            trees.append(_make_tree(top, xi, members, j))
+            trees.append(_make_tree(top, xi, members, ctx.j))
             alive &= ~mem
     rest = [s for s, a in zip(ctx.S, alive) if a]
     return rest, Forest(tuple(trees))

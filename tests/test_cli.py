@@ -212,6 +212,20 @@ def test_cli_mfcz_bad_value(tmp_path, capsys, grid, params, argv, name, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_cli_mfcz_k_sweep_needs_two_k(tmp_path, capsys, grid, params, k):
+    # one k value or none leaves no decay slope to fit
+    from conftest import mfcz_case
+    f, _, lam = mfcz_case(np.random.default_rng(0), grid, params)
+    sig = tmp_path / "sig.csv"
+    write_gridfunction_csv(f, sig)
+    assert main(["mfcz", "--signal", str(sig), "--tops-file=0,0,1.0",
+                 "--lam", str(lam), "--k-sweep", "--k", k]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: a k-sweep needs at least two k values")
+    assert "Traceback" not in err and "decay slope" not in out
+
+
 def test_cli_error_exit(tmp_path, capsys):
     assert main(["oracle", "--f1", "missing.csv", "--f2", "missing.csv",
                  "--out", str(tmp_path / "o.csv")]) == 1

@@ -127,6 +127,9 @@ def test_mfcz_validation(grid, params):
     for eps in (-1.0, 0.0, 5.0, math.nan):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got"):
             mfcz_decompose(f, [], 1.0, 2, 1.0, params, eps=eps)
+    for ks in ([], [1]):  # no slope to fit
+        with pytest.raises(ValueError, match="at least two k values"):
+            mfcz_k_sweep(f, [], params, None, ks, 1.0, 1.0)
 
 
 def test_mfcz_invariants_random_suite(grid, params):

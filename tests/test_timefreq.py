@@ -9,16 +9,18 @@ from tflab.errors import DegeneracyError
 from tflab.lab import random_collection, random_signal, run_tree_suite
 from tflab.packets import PacketBank, TopDatum
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, IntervalSet
-from tflab.timefreq import (Forest, Tree, Tritile, check_well_discretized,
-                            collection_size, counting_split, exceptional_sets,
-                            f3_decompose, forest_counting_norms,
-                            gamma_from_beta, lacunary_frequency,
-                            single_tree_bound, size_lemma_split,
-                            thin_well_discretized, tree_size, validate_tree)
+from tflab.timefreq import (Forest, Tree, Tritile, _SizeContext,
+                            check_well_discretized, collection_size,
+                            counting_split, exceptional_sets, f3_decompose,
+                            forest_counting_norms, gamma_from_beta,
+                            lacunary_frequency, single_tree_bound,
+                            size_lemma_split, thin_well_discretized,
+                            tree_size, validate_tree)
 
 from conftest import bump_signal
-from reference import (CachingPacketBank, build_tritile_lattice,
-                       collection_size_ref, f3_decompose_ref,
+from reference import (CachingPacketBank, SizeContextRef,
+                       build_tritile_lattice, collection_size_ref,
+                       f3_decompose_ref, greedy_split_ref,
                        size_lemma_split_ref, thin_well_discretized_loop,
                        tree_suite_stats_ref)
 
@@ -343,6 +345,75 @@ def test_f3_decompose_level_bound(table, draw):
         if fo.k is not None:
             level = collection_size(f, fo.tritiles(), 3, bank)
             assert level <= sigma0 * 2.0 ** -fo.k * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# size-context geometry: integer arrays against the loops they replace
+
+@st.composite
+def dyadic_collections(draw):
+    """Tritiles on dyadic intervals at scales -4..3 with signed positions.
+
+    One interval may carry several band triples; band edges sit on a quarter
+    of the band length, so window endpoints often coincide, and the offsets
+    come from a small pool, so intervals of one scale often share a band
+    and tie in the split's choice of top.
+    """
+    spaces = draw(st.lists(st.builds(DyadicInterval, st.integers(-4, 3),
+                                     st.integers(-40, 40)),
+                           min_size=1, max_size=8))
+    offsets = st.sampled_from(draw(st.lists(st.integers(-64, 64),
+                                            min_size=1, max_size=6)))
+    S = []
+    for q in spaces:
+        width = 1.0 / q.length
+        for _ in range(draw(st.integers(1, 3))):
+            los = draw(st.lists(offsets, min_size=3, max_size=3))
+            lo = [m * width / 4 for m in los]
+            S.append(Tritile(q, tuple(Band(a, a + width) for a in lo)))
+    return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_collections(), st.integers(1, 3), st.data())
+def test_size_geometry_matches_loops(S, j, data):
+    # few distinct weights, so equal block values and tied tops are common
+    coeff2 = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.25, 1.0, 4.0]), min_size=len(S),
+        max_size=len(S))))
+    ctx = _SizeContext(S, coeff2, j)
+    ref = SizeContextRef(S, coeff2, j)
+    assert (list(zip(ctx.top_scale.tolist(), ctx.top_pos.tolist()))
+            == [(t.scale, t.pos) for t in ref.tops])
+    assert ctx.contain.shape == ref.contain.shape
+    assert np.array_equal(ctx.contain, ref.contain)
+    assert ctx.top_len.tobytes() == ref.top_len.tobytes()
+    assert ctx.xi_regions.tobytes() == ref.xi_regions.tobytes()
+    assert ctx.lac.shape == ref.lac.shape
+    assert np.array_equal(ctx.lac, ref.lac)
+    assert ctx.size == ref.best(np.ones(len(S), dtype=bool))[0]
+    if ctx.size > 0:
+        rest, forest = ctx.split(ctx.size)
+        rest_ref, forest_ref = greedy_split_ref(ref, ctx.size)
+        assert rest.S == rest_ref
+        assert forest_record([forest]) == forest_record([forest_ref])
+
+
+def test_size_context_empty_and_single():
+    empty = _SizeContext([], np.zeros(0), 3)
+    assert empty.size == 0.0
+    rest, forest = empty.split(1.0)
+    assert rest.S == [] and forest.trees == ()
+    s = _tree_at(0, -3, xi=0.5).tritiles[0]
+    ctx = _SizeContext([s], np.array([0.25]), 3)
+    # the lone block: |c|^2 = 0.25 over the unit interval of s itself
+    assert ctx.size == 0.5
+    rest, forest = ctx.split(ctx.size)
+    assert len(forest.trees) == 1 and forest.trees[0].tritiles == (s,)
+    assert forest.trees[0].space.contains(s.space)
+    assert rest.S == [] and rest.size == 0.0
+    none = ctx.restrict(np.zeros(1, dtype=bool))
+    assert none.S == [] and none.size == 0.0
 
 
 # ---------------------------------------------------------------------------
