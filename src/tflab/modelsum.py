@@ -33,13 +33,12 @@ def model_sum(S, f1: GridFunction, f2: GridFunction, f3: GridFunction,
         ok, bad = check_well_discretized(S)
         if not ok:
             raise ValueError(f"collection is not well-discretized: {bad[0]}")
+    # one bank call per slot; tolist() keeps the products Python complex
+    coeffs = [bank.coefficients(f, [s.tile_datum(j) for s in S]).tolist()
+              for j, f in ((1, f1), (2, f2), (3, f3))]
     total = 0.0 + 0.0j
-    fs = (f1, f2, f3)
-    for s in S:
-        term = s.coeff / math.sqrt(s.space.length)
-        for j in range(1, 4):
-            term *= bank.coefficient(fs[j - 1], s.tile_datum(j))
-        total += term
+    for s, c1, c2, c3 in zip(S, *coeffs):
+        total += s.coeff / math.sqrt(s.space.length) * c1 * c2 * c3
     return complex(total)
 
 

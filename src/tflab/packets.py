@@ -106,24 +106,47 @@ def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
     return bins, values / norm
 
 
-def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
-                     grid: Grid) -> WavePacket:
-    """Unit-normalized packet with spectrum in the band of length eps/|I| at xi."""
+def _packet_band(td: TopDatum, eps: float, table: InghamTable,
+                 grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bins, values, ramp) of the datum's band, shared by its translates.
+
+    `packet_hat`'s band form, and the phase-ramp factor -2 pi i zeta at
+    zeta = `grid.freqs()[bins]`.
+    """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     bins, values = packet_hat(grid, td.interval.length, td.xi, eps, table)
-    # the phase ramp on the band only: off it the spectrum is an exact zero
+    return bins, values, -2j * np.pi * grid.freqs()[bins]
+
+
+def _packet_samples(grid: Grid, band, center: float) -> np.ndarray:
+    """Samples of the packet of `_packet_band` form centered at `center`.
+
+    The phase ramp is evaluated on the band only: off it the spectrum is an
+    exact zero.
+    """
+    bins, values, ramp = band
     hat = np.zeros(grid.n, dtype=complex)
-    hat[bins] = values * np.exp(
-        -2j * np.pi * grid.freqs()[bins] * (td.interval.center - grid.x0))
-    vals = np.fft.ifft(hat) * (grid.n / grid.length)
+    hat[bins] = values * np.exp(ramp * (center - grid.x0))
+    np.fft.ifft(hat, out=hat)
+    hat *= grid.n / grid.length
+    return hat
+
+
+def canonical_packet(td: TopDatum, eps: float, table: InghamTable,
+                     grid: Grid) -> WavePacket:
+    """Unit-normalized packet with spectrum in the band of length eps/|I| at xi."""
+    vals = _packet_samples(grid, _packet_band(td, eps, table, grid),
+                           td.interval.center)
     return WavePacket(td, eps, GridFunction(grid, vals))
 
 
 class PacketBank:
     """Canonical packets and coefficients over a fixed (table, grid, eps) context.
 
-    Holds no packets: each call builds the packet it needs.  Callers that reuse
+    Holds no packets: each call builds the packets it needs and drops them.
+    `coefficients` builds each band's spectrum and phase-ramp factor once per
+    call and only the translate's ramp per datum; callers that reuse
     coefficients (the size contexts of `tflab.timefreq`) keep them as data.
     """
 
@@ -137,7 +160,28 @@ class PacketBank:
 
     def coefficient(self, f: GridFunction, td: TopDatum) -> complex:
         """<f, packet> under the grid inner product."""
-        return inner_product(f, self.packet(td).samples)
+        return complex(self.coefficients(f, [td])[0])
+
+    def coefficients(self, f: GridFunction, tds) -> np.ndarray:
+        """<f, packet> for each datum in order (`coefficient` asks for one).
+
+        Data that share (interval scale, xi) differ only in the phase ramp,
+        so their spectrum comes from one `packet_hat` call.  The first
+        unresolvable datum raises ResolutionError and an f on another grid
+        raises GridMismatchError, checked datum by datum in that order.
+        """
+        grid = self.grid
+        tds = list(tds)
+        out = np.empty(len(tds), dtype=complex)
+        bands: dict = {}
+        for i, td in enumerate(tds):
+            key = (td.interval.scale, td.xi)
+            band = bands.get(key)
+            if band is None:
+                band = bands[key] = _packet_band(td, self.eps, self.table, grid)
+            samples = _packet_samples(grid, band, td.interval.center)
+            out[i] = inner_product(f, GridFunction(grid, samples))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,18 @@ def lacunary_frequency(tritiles, k: int, r_const: float = R_CONST) -> float | No
     bands = [s.freqs[k - 1] for s in tritiles]
     if not bands:
         return None
-    rlo = max(b.dilate(r_const).lo for b in bands)
-    rhi = min(b.dilate(r_const).hi for b in bands)
+    rwins = [b.dilate(r_const) for b in bands]
+    rlo = max(w.lo for w in rwins)
+    rhi = min(w.hi for w in rwins)
     if rlo >= rhi:
         return None
-    pts = sorted({rlo, rhi} | {e for b in bands for e in
-                               (b.dilate(2.0).lo, b.dilate(2.0).hi)})
+    twos = [b.dilate(2.0) for b in bands]
+    pts = sorted({rlo, rhi} | {e for w in twos for e in (w.lo, w.hi)})
     for lo, hi in zip(pts, pts[1:]):
         mid = 0.5 * (lo + hi)
         if not rlo <= mid < rhi:
             continue
-        if all(not b.dilate(2.0).contains_point(mid) for b in bands):
+        if all(not w.contains_point(mid) for w in twos):
             return mid
     return None
 
@@ -227,6 +228,12 @@ def thin_well_discretized(S, r_const: float = R_CONST) -> list[Tritile]:
 # ---------------------------------------------------------------------------
 # size: one evaluator for measurement and selection
 
+def _magnitudes(f: GridFunction, S, j: int, bank: PacketBank) -> list[float]:
+    """|<f, phi_s^j>| for the members of S, from one `coefficients` call."""
+    coeffs = bank.coefficients(f, [s.tile_datum(j) for s in S])
+    return [abs(c) for c in coeffs.tolist()]
+
+
 class _SizeContext:
     """Candidate tops and frequency regions over slot-j coefficient magnitudes.
 
@@ -265,8 +272,8 @@ class _SizeContext:
     def of(cls, S, f: GridFunction, j: int, bank: PacketBank) -> _SizeContext:
         """The context of S for f: one coefficient per member."""
         S = list(S)
-        return cls(S, np.array(
-            [abs(bank.coefficient(f, s.tile_datum(j))) ** 2 for s in S]), j)
+        coeff2 = np.array([c ** 2 for c in _magnitudes(f, S, j, bank)])
+        return cls(S, coeff2, j)
 
     def restrict(self, keep: np.ndarray) -> _SizeContext:
         """The context of the members where `keep` is true, same coefficients."""
@@ -378,14 +385,13 @@ def _tree_size(coeffs, tree: Tree, j: int) -> float:
 
 def tree_size(f: GridFunction, tree: Tree, j: int, bank: PacketBank) -> float:
     """Size of the tree in slot j: sup form on its own type, l2 block otherwise."""
-    return _tree_size([abs(bank.coefficient(f, s.tile_datum(j)))
-                       for s in tree.tritiles], tree, j)
+    return _tree_size(_magnitudes(f, tree.tritiles, j, bank), tree, j)
 
 
 def single_tree_bound(tree: Tree, f1: GridFunction, f2: GridFunction,
                       f3: GridFunction, bank: PacketBank) -> tuple[float, float]:
     """(lhs, rhs) of the single tree estimate: coefficient sum vs |I_T| * sizes."""
-    coeffs = [[abs(bank.coefficient(f, s.tile_datum(j))) for s in tree.tritiles]
+    coeffs = [_magnitudes(f, tree.tritiles, j, bank)
               for j, f in ((1, f1), (2, f2), (3, f3))]
     lhs = 0.0
     for s, c1, c2, c3 in zip(tree.tritiles, *coeffs):

@@ -357,6 +357,27 @@ def thin_well_discretized_loop(S, r_const: float = R_CONST):
     return kept
 
 
+# lacunary witness with every band's windows rebuilt inside the midpoint loop
+
+def lacunary_frequency_loop(tritiles, k: int, r_const: float = R_CONST):
+    bands = [s.freqs[k - 1] for s in tritiles]
+    if not bands:
+        return None
+    rlo = max(b.dilate(r_const).lo for b in bands)
+    rhi = min(b.dilate(r_const).hi for b in bands)
+    if rlo >= rhi:
+        return None
+    pts = sorted({rlo, rhi} | {e for b in bands for e in
+                               (b.dilate(2.0).lo, b.dilate(2.0).hi)})
+    for lo, hi in zip(pts, pts[1:]):
+        mid = 0.5 * (lo + hi)
+        if not rlo <= mid < rhi:
+            continue
+        if all(not b.dilate(2.0).contains_point(mid) for b in bands):
+            return mid
+    return None
+
+
 # size-lemma selection with a packet cache: every size evaluation and every
 # split builds its own context and asks the bank for each member again
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tflab.errors import GridMismatchError, ResolutionError
-from tflab.lab import random_collection
+from tflab.lab import random_collection, random_signal
 from tflab.modelsum import coefficient_profile, synthesis_profile
 from tflab.packets import (PacketBank, TopDatum, canonical_packet,
                            dedup_freqs, freq_window_for_scale, split_meanzero,
                            split_truncate, xi_H, xi_lattice)
-from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
+from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
+                            inner_product, lp_norm)
 
 from reference import (canonical_packet_full, coefficient_profile_full,
                        synthesis_profile_full)
@@ -199,14 +200,22 @@ def test_bank_packets_match_full_length_builder_on_suite_grids(table, n):
     grid = Grid(-16.0, 16.0, n)
     bank = PacketBank(table, grid, 0.5)
     rng = np.random.default_rng(0)
-    checked = 0
+    tds = []
     for _ in range(3):
         for s in random_collection(rng, grid):
             td = s.tile_datum(3)
             assert np.array_equal(bank.packet(td).samples.values,
                                   canonical_packet_full(td, 0.5, table, grid).samples.values)
-            checked += 1
-    assert checked >= 30
+            tds.append(td)
+    assert len(tds) >= 30
+    # the size path's call, data shuffled and some asked twice: translates
+    # share their band, and every coefficient keeps its bits
+    tds = [tds[i] for i in rng.permutation(len(tds))] + tds[::3]
+    assert len({(td.interval.scale, td.xi) for td in tds}) < len(tds) // 2
+    f = random_signal(rng, grid)
+    want = [inner_product(f, canonical_packet_full(td, 0.5, table, grid).samples)
+            for td in tds]
+    assert bank.coefficients(f, tds).tobytes() == np.array(want).tobytes()
 
 
 def test_packet_adaptedness_envelope(table, params):
@@ -228,8 +237,29 @@ def test_bank_coefficient_needs_the_bank_grid(table, grid):
     bank = PacketBank(table, grid, 0.25)
     other = Grid(grid.x0 + 1.0, grid.x1 + 1.0, grid.n)
     f = GridFunction(other, np.ones(other.n, complex))
+    td = TopDatum(DyadicInterval(0, 0), 2.0)
     with pytest.raises(GridMismatchError):
-        bank.coefficient(f, TopDatum(DyadicInterval(0, 0), 2.0))
+        bank.coefficient(f, td)
+    with pytest.raises(GridMismatchError):
+        bank.coefficients(f, [td, TopDatum(DyadicInterval(0, 1), 2.0)])
+    # no data, nothing to check
+    assert bank.coefficients(f, []).shape == (0,)
+
+
+def test_bank_coefficients_check_data_in_order(table, grid):
+    bank = PacketBank(table, grid, 0.25)
+    good = TopDatum(DyadicInterval(0, 0), 2.0)
+    beyond = TopDatum(DyadicInterval(0, 1), grid.nyquist)  # crosses Nyquist
+    f = bank.packet(good).samples
+    with pytest.raises(ResolutionError):
+        bank.coefficients(f, [good, good, beyond, good])
+    # an f on another grid fails at the first datum that resolves
+    other = Grid(grid.x0 + 1.0, grid.x1 + 1.0, grid.n)
+    g = GridFunction(other, f.values)
+    with pytest.raises(GridMismatchError):
+        bank.coefficients(g, [good, beyond])
+    with pytest.raises(ResolutionError):
+        bank.coefficients(g, [beyond, good])
 
 
 def test_bank_holds_no_packets(table, grid):
@@ -245,6 +275,7 @@ def test_bank_holds_no_packets(table, grid):
         before = tracemalloc.get_traced_memory()[0]
         for d in data:
             bank.coefficient(f, d)
+        bank.coefficients(f, data)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -21,8 +21,8 @@ from conftest import bump_signal
 from reference import (CachingPacketBank, SizeContextRef,
                        build_tritile_lattice, collection_size_ref,
                        f3_decompose_ref, greedy_split_ref,
-                       size_lemma_split_ref, thin_well_discretized_loop,
-                       tree_suite_stats_ref)
+                       lacunary_frequency_loop, size_lemma_split_ref,
+                       thin_well_discretized_loop, tree_suite_stats_ref)
 
 
 def suite_bank(table, grid):
@@ -502,3 +502,31 @@ def test_lacunary_frequency_and_core():
     b = s1.freqs[1]
     assert b.dilate(32.0).contains_point(xi)
     assert not b.dilate(2.0).contains_point(xi)
+
+
+@st.composite
+def slot_bands(draw):
+    """Tritiles whose band centers sit on a coarse lattice, so windows of
+    different members share endpoints and nest or overlap; a step of 0.1
+    puts rounding into every endpoint."""
+    step = draw(st.sampled_from([0.25, 0.1]))
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        m = draw(st.integers(-3, 3))
+        ell = math.ldexp(1.0, m)
+        centers = [draw(st.integers(-12, 12)) * step for _ in range(3)]
+        out.append(Tritile(DyadicInterval(m, draw(st.integers(-8, 7))),
+                           tuple(Band(c - 0.5 / ell, c + 0.5 / ell)
+                                 for c in centers)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_bands(), st.integers(1, 3), st.sampled_from([2.5, 16.0, 32.0]))
+def test_lacunary_frequency_matches_loop(S, k, r_const):
+    got = lacunary_frequency(S, k, r_const)
+    want = lacunary_frequency_loop(S, k, r_const)
+    if want is None:
+        assert got is None
+    else:
+        assert got.hex() == want.hex()
