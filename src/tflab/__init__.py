@@ -12,9 +12,9 @@ from .errors import (CountingConditionError, DegeneracyError,
 from .osgood import (InghamTable, OsgoodParams, build_ingham, verify_decay,
                      verify_sandwich)
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
-                       Report, inner_product, lp_norm, local_norm,
-                       maximal_function, read_gridfunction_csv,
-                       superlevel_decompose, write_gridfunction_csv)
+                       Report, lp_norm, local_norm, maximal_function,
+                       read_gridfunction_csv, superlevel_decompose,
+                       write_gridfunction_csv)
 from .packets import (PacketBank, TopDatum, WavePacket, canonical_packet,
                       split_meanzero, split_truncate, xi_H, xi_lattice)
 from .mfcz import (MfczSplit, mfcz_decompose, mfcz_k_sweep, overlap_count,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import GridMismatchError, ResolutionError
 from .osgood import InghamTable, OsgoodParams
-from .sampling import Band, DyadicInterval, Grid, GridFunction, inner_product
+from .sampling import Band, DyadicInterval, Grid, GridFunction
 
 #: frequency-window constant (anything above 10 is admissible)
 R_CONST = 16.0
@@ -169,6 +169,7 @@ class PacketBank:
         so their spectrum comes from one `packet_hat` call.  The first
         unresolvable datum raises ResolutionError and an f on another grid
         raises GridMismatchError, checked datum by datum in that order.
+        Each coefficient is `inner_product`'s expression on the samples.
         """
         grid = self.grid
         tds = list(tds)
@@ -179,8 +180,15 @@ class PacketBank:
             band = bands.get(key)
             if band is None:
                 band = bands[key] = _packet_band(td, self.eps, self.table, grid)
+                # finite spectrum and unit-modulus ramp give finite samples
+                _, values, ramp = band
+                if not (np.isfinite(values).all()
+                        and np.isfinite(ramp.view(float)).all()):
+                    raise ValueError("grid function contains non-finite samples")
+            if i == 0 and f.grid != grid:
+                raise GridMismatchError(f"{f.grid} vs {grid}")
             samples = _packet_samples(grid, band, td.interval.center)
-            out[i] = inner_product(f, GridFunction(grid, samples))
+            out[i] = complex(np.vdot(samples, f.values) * grid.spacing)
         return out
 
 
@@ -255,13 +263,23 @@ def split_meanzero(phi: WavePacket, K: float, xi0: float,
 def dedup_freqs(freqs: np.ndarray, tol: float) -> np.ndarray:
     """Sorted frequencies with near-duplicates (within tol) merged."""
     freqs = np.sort(np.asarray(freqs, dtype=float))
-    if freqs.size == 0:
+    # a point more than tol above its predecessor is more than tol above the
+    # last kept point, so the greedy pass only runs inside runs of small gaps
+    near = np.flatnonzero(~(np.diff(freqs) > tol)) + 1
+    if near.size == 0:
         return freqs
-    keep = [freqs[0]]
-    for z in freqs[1:]:
-        if z - keep[-1] > tol:
-            keep.append(z)
-    return np.array(keep)
+    vals = freqs.tolist()
+    keep = np.ones(freqs.size, dtype=bool)
+    prev = -2
+    for j in near.tolist():
+        if j != prev + 1:  # a run starts: its first point is kept
+            last = vals[j - 1]
+        prev = j
+        if vals[j] - last > tol:
+            last = vals[j]
+        else:
+            keep[j] = False
+    return freqs[keep]
 
 
 def xi_lattice(J: DyadicInterval, omega: Band, K: float,

@@ -12,6 +12,7 @@ import numpy as np
 from tflab.errors import ResolutionError
 from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, _bump, cantor_intervals,
                        random_collection, random_signal)
+from tflab.mfcz import RCOND
 from tflab.osgood import _box_widths
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
@@ -149,6 +150,40 @@ def superlevel_decompose_loop(g: GridFunction, lam: float) -> list[DyadicInterva
 def maximal_dyadic_intervals_loop(mask: np.ndarray, grid: Grid) -> list[DyadicInterval]:
     inside = _qualifier(np.asarray(mask, dtype=bool), grid)
     return _maximal_dyadic(grid, lambda q: inside(q.lo, q.hi))
+
+
+# frequency dedup as one greedy pass over numpy scalars, and the Riesz
+# projection as one least-squares solve per window in absolute coordinates
+
+def dedup_freqs_loop(freqs: np.ndarray, tol: float) -> np.ndarray:
+    freqs = np.sort(np.asarray(freqs, dtype=float))
+    if freqs.size == 0:
+        return freqs
+    keep = [freqs[0]]
+    for z in freqs[1:]:
+        if z - keep[-1] > tol:
+            keep.append(z)
+    return np.array(keep)
+
+
+def riesz_project_window(h: GridFunction, window: Band, freqs: np.ndarray):
+    """(g, h - g, rank, singular values) of the L2(window) projection onto
+    span{exp(2 pi i z x)}."""
+    grid = h.grid
+    sl = grid.slice_of(window.lo, window.hi)
+    outside = np.abs(np.concatenate([h.values[:sl.start], h.values[sl.stop:]]))
+    if outside.size and outside.max() > 1e-12 * (1 + np.abs(h.values).max()):
+        raise ValueError("h must be supported inside the projection window")
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.size == 0:
+        return GridFunction(grid, np.zeros(grid.n, complex)), h, 0, freqs
+    xs = grid.xs()[sl]
+    a = np.exp(2j * np.pi * np.outer(xs, freqs))
+    coef, _, rank, sing = np.linalg.lstsq(a, h.values[sl], rcond=RCOND)
+    gq = np.zeros(grid.n, dtype=complex)
+    gq[sl] = a @ coef
+    g_q = GridFunction(grid, gq)
+    return g_q, h - g_q, int(rank), sing
 
 
 # packet spectra evaluated on every frequency bin, each builder with its own

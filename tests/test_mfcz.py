@@ -1,3 +1,5 @@
+import contextlib
+import logging
 import math
 import os
 import subprocess
@@ -19,6 +21,7 @@ from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             IntervalSet, lp_norm, maximal_function)
 
 from conftest import bump_signal, mfcz_case
+from reference import riesz_project_window
 
 
 def test_riesz_empty_freqs(grid):
@@ -27,7 +30,7 @@ def test_riesz_empty_freqs(grid):
     sl = grid.slice_of(-1.0, 2.0)
     vals[sl] = rng.normal(size=sl.stop - sl.start)
     h = GridFunction(grid, vals)
-    g_q, b_q = riesz_project(h, Band(-1.0, 2.0), np.array([]))
+    [(g_q, b_q)] = riesz_project([(h, Band(-1.0, 2.0))], np.array([]))
     assert np.all(g_q.values == 0)
     assert np.array_equal(b_q.values, h.values)
 
@@ -38,7 +41,7 @@ def test_riesz_projection_onto_constants(grid):
     xs = grid.xs()
     q = DyadicInterval(0, 0)
     h = GridFunction(grid, ((xs >= 0) & (xs < 1)).astype(complex))
-    g_q, b_q = riesz_project(h, q.dilate(3.0), np.array([0.0]))
+    [(g_q, b_q)] = riesz_project([(h, q.dilate(3.0))], np.array([0.0]))
     sl = grid.slice_of(-1.0, 2.0)
     assert np.allclose(g_q.values[sl], 1.0 / 3.0, atol=1e-9)
     assert abs(b_q.values.sum() * grid.spacing) <= 1e-9
@@ -49,14 +52,15 @@ def test_riesz_in_span_gives_zero_residual(grid):
     zeta0 = 2.0
     mask = (xs >= -1) & (xs < 2)
     h = GridFunction(grid, np.exp(2j * np.pi * zeta0 * xs) * mask)
-    g_q, b_q = riesz_project(h, Band(-1.0, 2.0), np.array([1.0, zeta0]))
+    [(g_q, b_q)] = riesz_project([(h, Band(-1.0, 2.0))],
+                                   np.array([1.0, zeta0]))
     assert np.abs(b_q.values).max() <= 1e-9
 
 
 def test_riesz_support_validation(grid):
     h = GridFunction(grid, np.ones(grid.n, complex))
     with pytest.raises(ValueError):
-        riesz_project(h, Band(-1.0, 2.0), np.array([0.0]))
+        riesz_project([(h, Band(-1.0, 2.0))], np.array([0.0]))
 
 
 def test_riesz_projection_optimality(grid):
@@ -68,7 +72,7 @@ def test_riesz_projection_optimality(grid):
         + 1j * rng.normal(size=sl.stop - sl.start)
     h = GridFunction(grid, vals)
     freqs = np.array([0.0, 0.5, 1.0, 2.5])
-    g_q, b_q = riesz_project(h, Band(-1.0, 2.0), freqs)
+    [(g_q, b_q)] = riesz_project([(h, Band(-1.0, 2.0))], freqs)
     best = math.sqrt(float((np.abs(h.values - g_q.values)[sl] ** 2).sum()))
     for _ in range(20):
         coef = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -76,6 +80,111 @@ def test_riesz_projection_optimality(grid):
         s[sl] = (np.exp(2j * np.pi * np.outer(xs[sl], freqs)) @ coef)
         dist = math.sqrt(float((np.abs(h.values - s)[sl] ** 2).sum()))
         assert best <= dist + 1e-9
+
+
+class _RankLines(logging.Handler):
+    """Collects the (rank, frequency count) of each "projection rank" record."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.ranks = []
+
+    def emit(self, record):
+        if record.getMessage().startswith("projection rank"):
+            self.ranks.append(record.args)
+
+
+@contextlib.contextmanager
+def _rank_lines():
+    handler = _RankLines()
+    logger = logging.getLogger("tflab.mfcz")
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    try:
+        yield handler.ranks
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+@st.composite
+def shared_space_draws(draw):
+    """Windows 3Q of one scale at random grid positions, each h = noise on
+    its Q, and a frequency lattice they share (close spacings included, so
+    some systems are rank deficient)."""
+    grid = Grid(-16.0, 16.0, 2 ** 10)
+    scale = draw(st.integers(-3, 1))
+    length = 2.0 ** scale
+    count = int(grid.length / length)
+    positions = draw(st.lists(st.integers(1, count - 2), min_size=1,
+                              max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for pos in positions:
+        q = DyadicInterval(scale, pos - count // 2)
+        vals = np.zeros(grid.n, complex)
+        sl = grid.slice_of(q.lo, q.hi)
+        vals[sl] = rng.normal(size=sl.stop - sl.start) \
+            + 1j * rng.normal(size=sl.stop - sl.start)
+        parts.append((GridFunction(grid, vals), q.dilate(3.0)))
+    spacing = 1.0 / (3.0 * draw(st.sampled_from([1.0, 2.0, 4.0, 8.0])) * length)
+    xi = draw(st.floats(-4.0, 4.0))
+    freqs = xi + spacing * np.arange(draw(st.integers(1, 12)))
+    return parts, freqs
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_space_draws())
+def test_grouped_projection_matches_per_window_solves(draw):
+    parts, freqs = draw
+    with _rank_lines() as ranks:
+        split = riesz_project(parts, freqs)
+    assert len(split) == len(parts)
+    deficits = []
+    for (h, window), (g, b) in zip(parts, split):
+        g_ref, _, rank, sing = riesz_project_window(h, window, freqs)
+        if rank < freqs.size:
+            deficits.append((rank, freqs.size))
+        top = np.abs(h.values).max()
+        # rounding in either solve is amplified by the condition number of
+        # the kept singular values, up to 1/RCOND: past 1e7 the bounds grow
+        slack = max(1.0, 1e-7 * sing[0] / sing[rank - 1])
+        assert np.abs(g.values - g_ref.values).max() <= 1e-7 * slack * top
+        grid = h.grid
+        sl = grid.slice_of(window.lo, window.hi)
+        assert not g.values[:sl.start].any() and not g.values[sl.stop:].any()
+        # b is h - g to the bit (g + b == h is not exact in floating point)
+        assert np.array_equal(b.values, h.values - g.values)
+        # b's Fourier integrals at the frequencies, in absolute coordinates
+        a = np.exp(-2j * np.pi * np.outer(freqs, grid.xs()[sl]))
+        l1 = np.abs(h.values).sum() * grid.spacing
+        assert np.abs(a @ b.values[sl] * grid.spacing).max() <= 1e-8 * slack * l1
+    # the same rank as each window's own solve, logged once per window
+    assert ranks == deficits
+
+
+def test_riesz_windows_must_match(grid):
+    h = GridFunction(grid, np.zeros(grid.n, complex))
+    with pytest.raises(ValueError):
+        riesz_project([(h, Band(-1.0, 2.0)), (h, Band(-1.0, 5.0))],
+                      np.array([0.0]))
+
+
+def test_one_lstsq_per_shared_projection_space(params):
+    # acceptance 3's first case: translates of one 3Q length with one Xi_Q
+    # share one least-squares factorization
+    grid = Grid(-16.0, 16.0, 2 ** 12)
+    f, tops, lam = mfcz_case(np.random.default_rng(2024), grid, params)
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        split = mfcz_decompose(f, tops, lam, 1, 1.0, params, big_c=0.5)
+    keys = set()
+    for q in split.q_intervals:
+        tq = q.dilate(3.0)
+        sl = grid.slice_of(tq.lo, tq.hi)
+        if split.xi_q[q].size:
+            keys.add((sl.stop - sl.start, split.xi_q[q].tobytes()))
+    assert lstsq.call_count == len(keys) < len(split.q_intervals)
 
 
 def test_mfcz_trivial_no_tops(grid, params):
@@ -305,15 +414,21 @@ def blas_at_two():
 def test_one_blas_thread_inside_and_restored(grid, params, blas_at_two):
     get = blas_at_two
     f, tops, lam = mfcz_case(np.random.default_rng(0), grid, params)
-    seen = []
+    seen, windows = [], []
 
-    def project(*args):
+    def project(parts, freqs):
+        parts = list(parts)
         seen.append(get())
-        return riesz_project(*args)
+        windows.extend((w.lo, w.hi) for _, w in parts)
+        return riesz_project(parts, freqs)
 
     with mock.patch.object(mfcz, "riesz_project", project):
         split = mfcz_decompose(f, tops, lam, 1, 1.0, params)
-    assert split.q_intervals and seen == [1] * len(split.q_intervals)
+    # one call per shared projection space, each Q's 3Q in exactly one call
+    assert split.q_intervals and seen == [1] * len(seen)
+    assert sorted(windows) == sorted((t.lo, t.hi) for t in
+                                     (q.dilate(3.0) for q in split.q_intervals))
+    assert len(seen) < len(split.q_intervals)
     assert get() == 2
 
 

@@ -17,7 +17,7 @@ from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             inner_product, lp_norm)
 
 from reference import (canonical_packet_full, coefficient_profile_full,
-                       synthesis_profile_full)
+                       dedup_freqs_loop, synthesis_profile_full)
 
 
 @pytest.fixture()
@@ -262,6 +262,17 @@ def test_bank_coefficients_check_data_in_order(table, grid):
         bank.coefficients(g, [beyond, good])
 
 
+def test_bank_coefficients_reject_a_non_finite_band(table, grid, monkeypatch):
+    # the finiteness check runs once per band, on its spectrum and ramp
+    bank = PacketBank(table, grid, 0.25)
+    td = TopDatum(DyadicInterval(0, 0), 2.0)
+    f = bank.packet(td).samples
+    monkeypatch.setattr(type(table), "spectrum_at",
+                        lambda self, arg: np.full(np.shape(arg), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        bank.coefficients(f, [td])
+
+
 def test_bank_holds_no_packets(table, grid):
     bank = PacketBank(table, grid, 0.25)
     td = TopDatum(DyadicInterval(0, 0), 2.0)
@@ -411,3 +422,35 @@ def test_xi_H_regimes(params):
 def test_dedup_freqs():
     z = dedup_freqs(np.array([0.0, 1.0, 1.0 + 1e-12, 2.0]), 1e-9)
     assert z.tolist() == [0.0, 1.0, 2.0]
+
+
+@st.composite
+def freq_draws(draw):
+    """(freqs, tol): scattered points plus chains of near-duplicates, where
+    each link is within tol of the one before but the chain outruns it."""
+    tol = draw(st.floats(1e-6, 1.0))
+    pts = draw(st.lists(st.floats(-50.0, 50.0), max_size=30))
+    for _ in range(draw(st.integers(0, 4))):
+        z = draw(st.floats(-50.0, 50.0))
+        steps = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+        for t in steps:
+            z += t * tol  # a gap of exactly tol is a near-duplicate
+            pts.append(z)
+    pts += pts[:draw(st.integers(0, 3))]  # exact duplicates
+    return np.array(pts, dtype=float), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(freq_draws())
+def test_dedup_freqs_matches_greedy_loop(draw):
+    freqs, tol = draw
+    got = dedup_freqs(freqs, tol)
+    want = dedup_freqs_loop(freqs, tol)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_dedup_freqs_chain_keeps_every_point_tol_past_the_last_kept():
+    # each link is within tol of the one before; the greedy pass keeps each
+    # point that is more than tol past the last point kept
+    z = dedup_freqs(0.5 * np.arange(7), 0.75)
+    assert z.tolist() == [0.0, 1.0, 2.0, 3.0]
