@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="endpoint growth-law sweep")
     p.add_argument("--theorem", choices=lab.THEOREMS, default="T1")
     p.add_argument("--alpha", type=float, nargs=3)
-    p.add_argument("--set-family", choices=["interval", "cantor"],
+    p.add_argument("--set-family", choices=lab.SET_FAMILIES,
                    default="interval")
     p.add_argument("--ratios", type=float, nargs="*")
     p.add_argument("--dyadic", type=int, default=10,

@@ -21,13 +21,15 @@ import numpy as np
 from .errors import ResolutionError
 from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
-from .packets import PacketBank, band_bins
+from .packets import PacketBank, TopDatum, band_bins
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
                        Report, lp_norm, maximal_function)
-from .timefreq import (BETA, Tritile, _SizeContext, exceptional_sets,
-                       gamma_from_beta, thin_well_discretized, validate_tree)
+from .timefreq import (BETA, Tree, Tritile, _SizeContext, exceptional_sets,
+                       gamma_from_beta, lacunary_frequency,
+                       thin_well_discretized, validate_tree)
 
 THEOREMS = ("T1", "T2", "T3", "C15")
+SET_FAMILIES = ("interval", "cantor")
 
 #: middle-thirds depth of the "cantor" set family
 CANTOR_DEPTH = 3
@@ -43,8 +45,8 @@ SCALE_LOG2_MAX = 2
 #: probes the sharpness of the growth law
 EXC_C0 = 64.0
 
-#: hexagon of admissible exponent triples
 def in_hexagon(alpha) -> bool:
+    """True when the exponent triple lies in the admissible hexagon."""
     a = tuple(alpha)
     return (abs(sum(a) - 1.0) < 1e-9 and max(a) <= 1.0 + 1e-12
             and min(a) >= -0.5 - 1e-12)
@@ -59,7 +61,7 @@ def star(t: float) -> float:
 class SweepConfig:
     theorem: str = "T1"
     alpha: tuple[float, float, float] | None = None
-    set_family: str = "interval"        # or "cantor"
+    set_family: str = "interval"        # one of SET_FAMILIES
     ratios: tuple[float, ...] = tuple(2.0 ** -j for j in range(1, 11))
     grid_n: int = 2 ** 15
     eps: float = 2.0 ** -4
@@ -72,6 +74,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"theorem must be one of {THEOREMS}")
+        if self.set_family not in SET_FAMILIES:
+            raise ValueError(f"set_family must be one of {SET_FAMILIES}, "
+                             f"got {self.set_family!r}")
         r = self.ratios
         if (not r or not all(math.isfinite(x) and x > 0 for x in r)
                 or any(a <= b for a, b in zip(r, r[1:]))):
@@ -278,6 +283,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     def one(delta: float) -> SweepRow:
         try:
+            if not engine.columns:
+                raise ResolutionError("the lattice engine keeps no column")
             f2, f3_set, f2_measure = _family(cfg, delta, grid)
             _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=EXC_C0,
                                               h1_maximal=f1_max)
@@ -462,9 +469,6 @@ def random_collection(rng: np.random.Generator, grid: Grid,
 
 def random_tree(rng: np.random.Generator, grid: Grid):
     """Genuine 1-tree from a ray collection: top at the shared slot-1 center."""
-    from .packets import TopDatum
-    from .timefreq import Tree, lacunary_frequency
-
     S = random_collection(rng, grid)
     if not S:
         return None

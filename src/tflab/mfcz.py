@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountingConditionError, GridMismatchError, ResolutionError
+from .errors import CountingConditionError, ResolutionError
 from .osgood import InghamTable, OsgoodParams
 from .packets import PacketBank, TopDatum, dedup_freqs, xi_H
 from .sampling import (Band, DyadicInterval, GridFunction, IntervalSet, Report,
@@ -55,52 +55,29 @@ class MfczSplit:
         return self.good + self.bad()
 
 
-def riesz_project(parts, freqs: np.ndarray) -> list[tuple[GridFunction, GridFunction]]:
-    """L2(window) least-squares projections of each h onto span{exp(2 pi i z x)}.
+def riesz_project(h: np.ndarray, freqs: np.ndarray, spacing: float) -> np.ndarray:
+    """L2(window) least-squares projections of h's columns onto span{exp(2 pi i z x)}.
 
-    `parts` are (h, window) pairs on one grid whose windows hold equally many
-    samples; each h must vanish outside its window.  On a window
-    starting at x_s, exp(2 pi i z x) = exp(2 pi i z x_s) exp(2 pi i z (x - x_s)):
-    its design matrix is the window-relative one times unit column phases, so
-    every window spans the same space with the same singular values.  One
-    least-squares factorization of the window-relative matrix therefore serves
-    every pair, with their right-hand sides stacked as columns.  Rank
-    deficiency beyond the spectral cutoff RCOND is regularized
-    (pseudo-inverse) and logged once per window, never raised.  Returns
-    (g, h - g) for each pair, in order.
+    Each column of the (m, w) array h holds one window's m samples at the
+    grid spacing.  On a window starting at x_s, exp(2 pi i z x) =
+    exp(2 pi i z x_s) exp(2 pi i z (x - x_s)): its design matrix is the
+    window-relative one times unit column phases, so every window spans the
+    same space with the same singular values.  One least-squares
+    factorization of the window-relative matrix therefore serves every
+    column.  Rank deficiency beyond the spectral cutoff RCOND is regularized
+    (pseudo-inverse) and logged once per column, never raised.  Returns the
+    projections g, shaped like h (zeros when there are no frequencies).
     """
     freqs = np.asarray(freqs, dtype=float)
-    grid = None
-    held = []
-    for h, window in parts:
-        grid = grid or h.grid
-        if h.grid != grid:
-            raise GridMismatchError(f"{h.grid} vs {grid}")
-        sl = grid.slice_of(window.lo, window.hi)
-        outside = np.abs(np.concatenate([h.values[:sl.start], h.values[sl.stop:]]))
-        if outside.size and outside.max() > 1e-12 * (1 + np.abs(h.values).max()):
-            raise ValueError("h must be supported inside the projection window")
-        # with frequencies only the copy that becomes h - g is held, so a
-        # caller that passes a generator holds one h at a time
-        held.append((h if freqs.size == 0 else h.values.copy(), sl))
     if freqs.size == 0:
-        return [(GridFunction(grid, np.zeros(grid.n, complex)), h) for h, _ in held]
-    if not held:
-        return []
-    rhs = np.stack([b[sl] for b, sl in held], axis=1)  # equal windows, or ValueError
-    a = np.exp(2j * np.pi * np.outer(grid.spacing * np.arange(rhs.shape[0]), freqs))
-    coef, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=RCOND)
-    g_win = a @ coef
-    out = []
-    for i, (b, sl) in enumerate(held):
-        if rank < freqs.size:
+        return np.zeros_like(h)
+    a = np.exp(2j * np.pi * np.outer(spacing * np.arange(h.shape[0]), freqs))
+    coef, _, rank, _ = np.linalg.lstsq(a, h, rcond=RCOND)
+    if rank < freqs.size:
+        for _ in range(h.shape[1]):
             log.info("projection rank %d < %d frequencies; spectral cutoff "
                      "applied", rank, freqs.size)
-        gq = np.zeros(grid.n, dtype=complex)
-        gq[sl] = g_win[:, i]
-        b[sl] -= g_win[:, i]
-        out.append((GridFunction(grid, gq), GridFunction(grid, b)))
-    return out
+    return a @ coef
 
 
 @functools.cache
@@ -198,8 +175,8 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     good = f.values * ~_union_mask(grid, qs)
     xi_q: dict[DyadicInterval, np.ndarray] = {}
     # Q's whose 3Q hold equally many samples and share Xi_Q share one
-    # projection space (see riesz_project)
-    groups: dict[tuple[int, bytes], list[DyadicInterval]] = {}
+    # projection space (see riesz_project); each Q is held with its 3Q slice
+    groups: dict[tuple[int, bytes], list[tuple[DyadicInterval, slice]]] = {}
     bad: dict[DyadicInterval, GridFunction] = {}
     be_ratios = []
     with _one_blas_thread():
@@ -216,34 +193,32 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
                 freqs = np.array([])
             xi_q[q] = freqs
             sl = grid.slice_of(tq.lo, tq.hi)
-            groups.setdefault((sl.stop - sl.start, freqs.tobytes()), []).append(q)
+            groups.setdefault((sl.stop - sl.start, freqs.tobytes()), []).append((q, sl))
 
-        for group in groups.values():
-            freqs = xi_q[group[0]]
-            split = riesz_project(((_restricted(f, q), q.dilate(3.0)) for q in group),
-                                  freqs)
-            for q, (g_q, b_q) in zip(group, split):
-                good += g_q.values
-                bad[q] = b_q
+        for (m, _), group in groups.items():
+            freqs = xi_q[group[0][0]]
+            # column i: f on Q, zero on the rest of 3Q (Q's samples are
+            # those of `_union_mask`, so the partition is exact)
+            h = np.zeros((m, len(group)), dtype=complex)
+            for i, (q, sl) in enumerate(group):
+                fq = grid.slice_of(q.lo, q.hi)
+                h[fq.start - sl.start:fq.stop - sl.start, i] = f.values[fq]
+            g = riesz_project(h, freqs, grid.spacing)
+            for i, (q, sl) in enumerate(group):
+                good[sl] += g[:, i]
+                b = np.zeros(grid.n, dtype=complex)
+                b[sl] = h[:, i] - g[:, i]
+                bad[q] = GridFunction(grid, b)
                 fq_norm = local_norm(f, q.lo, q.hi, p)
                 if freqs.size and fq_norm > 0:
-                    tq = q.dilate(3.0)
-                    be = (local_norm(g_q, tq.lo, tq.hi, 2.0)
-                          / (freqs.size ** (1.0 / p - 0.5) * fq_norm))
-                    be_ratios.append(be)
+                    g_norm = float(np.mean(np.abs(g[:, i]) ** 2) ** 0.5)
+                    be_ratios.append(g_norm / (freqs.size ** (1.0 / p - 0.5)
+                                               * fq_norm))
     bad_parts = {q: bad[q] for q in qs}
 
     diagnostics = _diagnostics(f, good, qs, xi_q, live_tops, lam, k, p, uk, be_ratios)
     return MfczSplit(GridFunction(grid, good), bad_parts, qs, xi_q,
                      exceptional, diagnostics)
-
-
-def _restricted(f: GridFunction, q: DyadicInterval) -> GridFunction:
-    """f times the indicator of Q, on the index range of `_union_mask`."""
-    vals = np.zeros(f.grid.n, dtype=complex)
-    sl = f.grid.slice_of(q.lo, q.hi)
-    vals[sl] = f.values[sl]
-    return GridFunction(f.grid, vals)
 
 
 def _union_mask(grid, qs) -> np.ndarray:

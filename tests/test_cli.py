@@ -167,6 +167,17 @@ def test_cli_sweep_has_no_seed(capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_cli_sweep_engine_without_columns(capsys):
+    # at n = 64 the engine's scales 4 and 2 keep no column, so no row has a
+    # model sum to report
+    assert main(["sweep", "--grid-n", "64", "--dyadic", "4"]) == 2
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("delta=")]
+    assert len(rows) == 4
+    assert all(r.endswith("[resolution-error: the lattice engine keeps no "
+                          "column]") for r in rows)
+
+
 def test_cli_mfcz(tmp_path, grid, params):
     rng = np.random.default_rng(0)
     from conftest import mfcz_case

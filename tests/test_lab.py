@@ -44,6 +44,9 @@ def test_sweep_config_validation():
         SweepConfig(ratios=(0.5, 0.5))
     with pytest.raises(ValueError):
         SweepConfig(alpha=(1.5, 0.0, -0.5))
+    # any other name silently ran the interval family
+    with pytest.raises(ValueError, match="set_family"):
+        SweepConfig(set_family="Cantor")
     assert SweepConfig(theorem="C15").resolved_alpha() == (0.75, 0.75, -0.5)
     # T1 and T3 divide by neither alpha2 nor 1 - alpha2
     assert SweepConfig(theorem="T3", alpha=(0.5, 1.0, -0.5)).alpha[1] == 1.0
