@@ -11,8 +11,8 @@ from .errors import (CountingConditionError, DegeneracyError,
                      GridMismatchError, LabError, ResolutionError)
 from .osgood import (InghamTable, OsgoodParams, build_ingham, verify_decay,
                      verify_sandwich)
-from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
-                       Report, lp_norm, local_norm, maximal_function,
+from .sampling import (Band, DyadicInterval, Grid, GridFunction, Report,
+                       lp_norm, local_norm, maximal_function,
                        read_gridfunction_csv, superlevel_decompose,
                        write_gridfunction_csv)
 from .packets import (PacketBank, TopDatum, WavePacket, canonical_packet,

@@ -22,8 +22,8 @@ from .errors import ResolutionError
 from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
 from .packets import PacketBank, TopDatum, band_bins
-from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
-                       Report, lp_norm, maximal_function)
+from .sampling import (Band, DyadicInterval, Grid, GridFunction, Report,
+                       lp_norm, maximal_function)
 from .timefreq import (BETA, Tree, Tritile, _SizeContext, exceptional_sets,
                        gamma_from_beta, lacunary_frequency,
                        thin_well_discretized, validate_tree)
@@ -81,6 +81,9 @@ class SweepConfig:
         if (not r or not all(math.isfinite(x) and x > 0 for x in r)
                 or any(a <= b for a, b in zip(r, r[1:]))):
             raise ValueError("ratios must be finite, positive and strictly decreasing")
+        if r[0] > DOMAIN / 2:
+            raise ValueError(f"ratios must be at most {DOMAIN / 2}, where "
+                             f"F2 = [0, delta) still fits the domain; got {r[0]}")
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
         # the oracle decimates the grid by grid_n // oracle_n
@@ -119,7 +122,8 @@ FIELDS = ["delta", "lambda_model", "lambda_direct", "bound_rhs", "ratio",
           "f3_major_fraction", "status"]
 
 
-def cantor_intervals(lo: float, hi: float, depth: int) -> IntervalSet:
+def cantor_intervals(lo: float, hi: float,
+                     depth: int) -> list[tuple[float, float]]:
     """Depth-d middle-thirds construction on [lo, hi) (measure (2/3)^d (hi-lo))."""
     parts = [(lo, hi)]
     for _ in range(depth):
@@ -128,7 +132,7 @@ def cantor_intervals(lo: float, hi: float, depth: int) -> IntervalSet:
             w = (b - a) / 3.0
             nxt.extend([(a, a + w), (b - w, b)])
         parts = nxt
-    return IntervalSet.from_pairs(parts)
+    return parts
 
 
 def _bump(grid: Grid, width: float, p: float) -> GridFunction:
@@ -142,23 +146,22 @@ def _bump(grid: Grid, width: float, p: float) -> GridFunction:
 def _f1(cfg: SweepConfig, grid: Grid) -> GridFunction:
     """f1, the same function at every ratio of a sweep."""
     if cfg.theorem == "C15":
-        return IntervalSet.from_pairs([(0.0, 1.0)]).indicator(grid)
+        return GridFunction(grid, grid.mask([(0.0, 1.0)]) + 0j)
     a1 = cfg.resolved_alpha()[0]
     return _bump(grid, 4.0, 2.0 if cfg.theorem == "T1" else 1.0 / a1)
 
 
 def _family(cfg: SweepConfig, delta: float, grid: Grid):
-    """(f2, F3 set, |F2|) per the theorem's restriction pattern."""
+    """(f2, F3 mask, F2 mask) per the theorem's restriction pattern."""
     if cfg.set_family == "cantor":
         scale = 1.5 ** CANTOR_DEPTH
-        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), CANTOR_DEPTH)
+        f2_set = grid.mask(cantor_intervals(0.0, min(delta * scale, 2.0),
+                                            CANTOR_DEPTH))
     else:
-        f2_set = IntervalSet.from_pairs([(0.0, delta)])
+        f2_set = grid.mask([(0.0, delta)])
     if cfg.theorem == "T3":
-        return (_bump(grid, 2.0, 2.0), IntervalSet.from_pairs([(0.0, delta)]),
-                f2_set.measure)
-    return (f2_set.indicator(grid), IntervalSet.from_pairs([(0.0, 1.0)]),
-            f2_set.measure)
+        return _bump(grid, 2.0, 2.0), grid.mask([(0.0, delta)]), f2_set
+    return GridFunction(grid, f2_set + 0j), grid.mask([(0.0, 1.0)]), f2_set
 
 
 def _bound_rhs(cfg: SweepConfig, f1n: float, f2n: float, f2_measure: float,
@@ -205,8 +208,7 @@ class _LatticeEngine:
                        if 4 * grid.spacing <= 2.0 ** j]
         fh1 = np.fft.fft(f1.values)
         # a column is pruned when its slot-1 band is unresolvable or holds
-        # under 1e-12 of f1's spectral energy on the bins where the slot-1
-        # spectrum can be nonzero
+        # under 1e-12 of f1's spectral energy on its `band_bins`
         power = np.abs(fh1) ** 2
         total = float(power.sum())
         lo = int(round((-POS_EXTENT - grid.x0) / grid.spacing))
@@ -232,8 +234,9 @@ class _LatticeEngine:
                                          g1[slots]))
 
     def evaluate(self, f2: GridFunction,
-                 f3_major: IntervalSet) -> tuple[float, GridFunction]:
-        """(best |model sum|, aligned f3) over subindicators of the major set."""
+                 mask: np.ndarray) -> tuple[float, GridFunction]:
+        """(best |model sum|, aligned f3) over subindicators of the major set,
+        given as its sample mask."""
         grid, cfg = self.grid, self.cfg
         fh2 = np.fft.fft(f2.values)
         spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
@@ -249,7 +252,6 @@ class _LatticeEngine:
                 bins, values = w3
                 spectrum[bins] += values
         w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
-        mask = f3_major.indicator(grid).values.real > 0.5
         mag = np.abs(w_total)
         lam = float(mag[mask].sum() * grid.spacing)
         f3 = np.zeros(grid.n, dtype=complex)
@@ -285,14 +287,21 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         try:
             if not engine.columns:
                 raise ResolutionError("the lattice engine keeps no column")
-            f2, f3_set, f2_measure = _family(cfg, delta, grid)
+            if delta < grid.spacing:
+                raise ResolutionError(f"delta = {delta:.6g} is below the grid "
+                                      f"spacing {grid.spacing:.6g}")
+            f2, f3_set, f2_set = _family(cfg, delta, grid)
             _, _, f3_major = exceptional_sets(f1, f2, f3_set, alpha, c0=EXC_C0,
                                               h1_maximal=f1_max)
-            frac = f3_major.measure / f3_set.measure
+            f3_count = int(np.count_nonzero(f3_set))
+            frac = int(np.count_nonzero(f3_major)) / f3_count
             lam_model, f3 = engine.evaluate(f2, f3_major)
             lam_direct = _oracle_value(cfg, f1, f2, f3)
             f2n = lp_norm(f2, 2.0)
-            rhs = _bound_rhs(cfg, f1n, f2n, f2_measure, f3_set.measure)
+            # |F2| and |F3| are grid measures: sample count x h
+            rhs = _bound_rhs(cfg, f1n, f2n,
+                             int(np.count_nonzero(f2_set)) * grid.spacing,
+                             f3_count * grid.spacing)
             return SweepRow(delta, lam_model, lam_direct, rhs,
                             lam_model / rhs if rhs > 0 else math.nan, frac)
         except ResolutionError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import CountingConditionError, ResolutionError
 from .osgood import InghamTable, OsgoodParams
 from .packets import PacketBank, TopDatum, dedup_freqs, xi_H
-from .sampling import (Band, DyadicInterval, GridFunction, IntervalSet, Report,
+from .sampling import (DyadicInterval, GridFunction, Report, bands_inside,
                        cover_count, local_norm, lp_norm, maximal_function,
                        superlevel_decompose)
 
@@ -41,7 +42,7 @@ class MfczSplit:
     bad_parts: dict[DyadicInterval, GridFunction]
     q_intervals: list[DyadicInterval]
     xi_q: dict[DyadicInterval, np.ndarray]
-    exceptional: IntervalSet
+    exceptional: np.ndarray  # sample mask of the superlevel set E
     diagnostics: dict[str, float] = field(default_factory=dict)
 
     def bad(self) -> GridFunction:
@@ -164,15 +165,15 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
 
     mpf = maximal_function(f, p)
     qs = superlevel_decompose(mpf, lam)
-    e_mask = mpf.values.real > lam
-    exceptional = IntervalSet.from_mask(grid, e_mask)
+    exceptional = mpf.values.real > lam
 
     # tops buried inside 9Q contribute nothing downstream
     live_tops = [td for td in tops
                  if not any(q.dilate(9.0).contains_band(td.interval.band())
                             for q in qs)]
 
-    good = f.values * ~_union_mask(grid, qs)
+    # Q's samples are those of its f_Q slice, so the partition is exact
+    good = f.values * ~grid.mask((q.lo, q.hi) for q in qs)
     xi_q: dict[DyadicInterval, np.ndarray] = {}
     # Q's whose 3Q hold equally many samples and share Xi_Q share one
     # projection space (see riesz_project); each Q is held with its 3Q slice
@@ -197,8 +198,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
 
         for (m, _), group in groups.items():
             freqs = xi_q[group[0][0]]
-            # column i: f on Q, zero on the rest of 3Q (Q's samples are
-            # those of `_union_mask`, so the partition is exact)
+            # column i: f on Q, zero on the rest of 3Q
             h = np.zeros((m, len(group)), dtype=complex)
             for i, (q, sl) in enumerate(group):
                 fq = grid.slice_of(q.lo, q.hi)
@@ -219,14 +219,6 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     diagnostics = _diagnostics(f, good, qs, xi_q, live_tops, lam, k, p, uk, be_ratios)
     return MfczSplit(GridFunction(grid, good), bad_parts, qs, xi_q,
                      exceptional, diagnostics)
-
-
-def _union_mask(grid, qs) -> np.ndarray:
-    # index arithmetic identical to the f_Q slices, so the partition is exact
-    mask = np.zeros(grid.n, dtype=bool)
-    for q in qs:
-        mask[grid.slice_of(q.lo, q.hi)] = True
-    return mask
 
 
 def _diagnostics(f, good_vals, qs, xi_q, tops, lam, k, p, uk, be_ratios) -> dict:
@@ -258,11 +250,6 @@ def overlap_count(split: MfczSplit) -> int:
 # ---------------------------------------------------------------------------
 # verification statistics
 
-def _outside(exceptional: IntervalSet, band: Band) -> bool:
-    """True when the band is NOT fully covered by the exceptional set."""
-    return not any(lo <= band.lo and band.hi <= hi for lo, hi in exceptional.parts)
-
-
 def _family_intervals(td: TopDatum, levels: int):
     for level in range(levels + 1):
         scale = td.interval.scale - level
@@ -291,9 +278,11 @@ def verify_mfcz(split: MfczSplit, tops: list[TopDatum], table: InghamTable,
     blocks_l1 = [0.0]
     for td in tops:
         coeffs: dict[DyadicInterval, float] = {}
-        for J in _family_intervals(td, levels):
-            if not _outside(split.exceptional, J.band()):
-                continue
+        family = list(_family_intervals(td, levels))
+        in_e = bands_inside(split.exceptional, grid,
+                            np.array([J.lo for J in family]),
+                            np.array([J.hi for J in family]))
+        for J in itertools.compress(family, ~in_e):
             try:
                 c_plain = bank.coefficient(b, TopDatum(J, td.xi))
                 xi_shift = grid.snap_frequency(td.xi + 1.5 / J.length)

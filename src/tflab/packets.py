@@ -54,12 +54,14 @@ class WavePacket:
 
 def band_bins(grid: Grid, scale: float, xi: float,
               eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(bins, arg) of the band where the packet spectrum can be nonzero.
+    """(bins, arg) of the band that holds the packet spectrum.
 
-    The window spectrum vanishes off (-1, 1), so the packet spectrum at
-    spatial scale `scale` and xi is zero off the bins of the fftfreq lattice
-    with |arg| < 1, arg = (scale/eps)(zeta - xi).  `bins` are those bins'
-    indices in fftfreq order and `arg` their window arguments.  Raises
+    `bins` are the indices, in fftfreq order, of the lattice bins with
+    |arg| < 1, arg = (scale/eps)(zeta - xi), and `arg` their window
+    arguments.  The window spectrum is supported in [-1/2, 1/2], so the
+    packet spectrum at spatial scale `scale` and xi vanishes off these bins
+    and is exactly zero on those with |arg| >= 1/2.  The engine prune and
+    the pinned packet bits read this band, so it keeps that margin.  Raises
     ResolutionError when the band crosses Nyquist or spans fewer than 4 bins.
     """
     bandwidth = eps / scale

@@ -7,6 +7,9 @@ on the sampled-signal types defined here.  Conventions:
   ``x0 + j*h``; quadrature is the trapezoid rule under the periodic convention,
   i.e. the plain rectangle sum ``h * sum(...)``;
 * interval-local norms are normalized: ``||f||_{L^p(I)} = (mean_I |f|^p)^{1/p}``;
+* a set is a boolean sample mask on its grid (``Grid.mask``: the samples of
+  ``slice_of`` for each of its ranges), and its measure is the grid measure,
+  sample count times ``h``;
 * dyadic intervals are intervals of the real line ``[m 2^j, (m+1) 2^j)`` and are
   only meaningful on grids whose spacing and origin are dyadic rationals.
 """
@@ -77,6 +80,13 @@ class Grid:
         i0 = max(0, int(math.ceil((lo - self.x0) / self.spacing - 1e-9)))
         i1 = min(self.n, int(math.ceil((hi - self.x0) / self.spacing - 1e-9)))
         return slice(i0, max(i0, i1))
+
+    def mask(self, pairs) -> np.ndarray:
+        """Sample mask of the union of the ranges [lo, hi), each by `slice_of`."""
+        out = np.zeros(self.n, dtype=bool)
+        for lo, hi in pairs:
+            out[self.slice_of(lo, hi)] = True
+        return out
 
     def snap_frequency(self, xi: float) -> float:
         """Nearest point of the DFT frequency lattice."""
@@ -335,63 +345,6 @@ def cover_count(grid: Grid, bands) -> np.ndarray:
     np.add.at(diff, np.searchsorted(xs, [b.lo for b in bands]), 1.0)
     np.add.at(diff, np.searchsorted(xs, [b.hi for b in bands]), -1.0)
     return np.cumsum(diff[:-1])
-
-
-# ---------------------------------------------------------------------------
-# finite unions of intervals (indicator sets; exact measures)
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Finite union of half-open intervals, stored sorted and disjoint."""
-
-    parts: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalSet":
-        items = sorted((float(lo), float(hi)) for lo, hi in pairs if hi > lo)
-        merged: list[list[float]] = []
-        for lo, hi in items:
-            if merged and lo <= merged[-1][1] + 1e-15:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
-
-    @classmethod
-    def from_mask(cls, grid: Grid, mask: np.ndarray) -> "IntervalSet":
-        mask = np.asarray(mask, dtype=bool)
-        h = grid.spacing
-        edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
-        pairs = [(grid.x0 + a * h, grid.x0 + b * h)
-                 for a, b in zip(edges[::2], edges[1::2])]
-        return cls.from_pairs(pairs)
-
-    @property
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.parts)
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for lo, hi in self.parts:
-            cur = lo
-            for olo, ohi in other.parts:
-                if ohi <= cur or olo >= hi:
-                    continue
-                if olo > cur:
-                    out.append((cur, olo))
-                cur = max(cur, ohi)
-                if cur >= hi:
-                    break
-            if cur < hi:
-                out.append((cur, hi))
-        return IntervalSet.from_pairs(out)
-
-    def indicator(self, grid: Grid) -> GridFunction:
-        xs = grid.xs()
-        v = np.zeros(grid.n)
-        for lo, hi in self.parts:
-            v[(xs >= lo - 1e-12) & (xs < hi - 1e-12)] = 1.0
-        return GridFunction(grid, v + 0j)
 
 
 # ---------------------------------------------------------------------------

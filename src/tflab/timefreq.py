@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegeneracyError, ThresholdDoublingError
 from .osgood import OsgoodParams
 from .packets import PacketBank, R_CONST, TopDatum
-from .sampling import (Band, DyadicInterval, Grid, GridFunction, IntervalSet,
+from .sampling import (Band, DyadicInterval, Grid, GridFunction,
                        bands_inside, cover_count, lp_norm,
                        maximal_dyadic_intervals, maximal_function)
 
@@ -514,16 +514,18 @@ def forest_counting_norms(forest: Forest, grid: Grid, params: OsgoodParams,
 # ---------------------------------------------------------------------------
 # exceptional sets
 
-def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
+def exceptional_sets(h1: GridFunction, h2: GridFunction, f3: np.ndarray,
                      alpha, *, c0: float = 1.0,
                      h1_maximal: GridFunction | None = None
-                     ) -> tuple[IntervalSet, IntervalSet, IntervalSet]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Superlevel exceptional set, its dyadic 3-fold closure, and the major subset.
 
-    The threshold constant doubles from c0 until the closure removes at most
-    three quarters of the reference set, so |F3| <= 4 |F3'| always holds on
-    return.  h1_maximal, when given, must be `maximal_function(h1, 1/a1)`:
-    a sweep builds it once for the f1 all its rows share.
+    Sets are sample masks on h1's grid: `f3` is the reference set, and the
+    major subset is `f3 & ~closure`.  The threshold constant doubles from c0
+    until the closure removes at most three quarters of the reference set's
+    samples, so |F3| <= 4 |F3'| always holds on return.  h1_maximal, when
+    given, must be `maximal_function(h1, 1/a1)`: a sweep builds it once for
+    the f1 all its rows share.
     """
     a1, a2, a3 = alpha
     if abs(a1 + a2 + a3 - 1.0) > 1e-9:
@@ -531,9 +533,14 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
     if not (0 <= a1 <= 1 and 0 <= a2 <= 1 and a3 >= -0.5):
         raise ValueError("alpha outside the admissible range")
     grid = h1.grid
-    measure = f3_set.measure
-    if measure <= 0:
-        raise ValueError("reference set must have positive measure")
+    f3 = np.asarray(f3, dtype=bool)
+    if f3.shape != (grid.n,):
+        raise ValueError(f"reference set must be a mask of {grid.n} samples, "
+                         f"got shape {f3.shape}")
+    count = int(np.count_nonzero(f3))
+    if count == 0:
+        raise ValueError("reference set must hold a sample")
+    measure = count * grid.spacing
     maximal = []
     for h, a, m in ((h1, a1, h1_maximal), (h2, a2, None)):
         if a <= 0:
@@ -548,12 +555,10 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3_set: IntervalSet,
         for m, base in maximal:
             if base > 0:
                 mask |= m > c * base
-        e_set = IntervalSet.from_mask(grid, mask)
-        closure = IntervalSet.from_pairs(
-            [(q.dilate(3.0).lo, q.dilate(3.0).hi)
-             for q in maximal_dyadic_intervals(mask, grid)])
-        major = f3_set.difference(closure)
-        if major.measure * 4 >= measure:
-            return e_set, closure, major
+        closure = grid.mask((q.dilate(3.0).lo, q.dilate(3.0).hi)
+                            for q in maximal_dyadic_intervals(mask, grid))
+        major = f3 & ~closure
+        if 4 * np.count_nonzero(major) >= count:
+            return mask, closure, major
         c *= 2
     raise ThresholdDoublingError("threshold doubling failed to preserve a major subset")

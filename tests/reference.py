@@ -16,8 +16,7 @@ from tflab.mfcz import RCOND
 from tflab.osgood import _box_widths
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            IntervalSet, dyadic_cover, grid_dyadic_scales,
-                            lp_norm)
+                            dyadic_cover, grid_dyadic_scales, lp_norm)
 from tflab.timefreq import (BETA, HALVING_ROUNDS, Forest, Tree, Tritile,
                             _make_tree, _pair_violations, gamma_from_beta,
                             validate_tree)
@@ -287,37 +286,39 @@ def band_energy_mask(freqs: np.ndarray, power: np.ndarray, xi: float,
 
 
 def sweep_family_per_row(cfg, delta: float, grid: Grid):
-    """(f1, f2, F3 set, |F2|) of one sweep row, f1 rebuilt at every ratio."""
+    """(f1, f2, F3 mask, F2 mask) of one sweep row, f1 rebuilt at every ratio."""
     a1 = cfg.resolved_alpha()[0]
     if cfg.set_family == "cantor":
         scale = 1.5 ** CANTOR_DEPTH
-        f2_set = cantor_intervals(0.0, min(delta * scale, 2.0), CANTOR_DEPTH)
+        f2_set = grid.mask(cantor_intervals(0.0, min(delta * scale, 2.0),
+                                            CANTOR_DEPTH))
     else:
-        f2_set = IntervalSet.from_pairs([(0.0, delta)])
-    f3_set = IntervalSet.from_pairs([(0.0, 1.0)])
+        f2_set = grid.mask([(0.0, delta)])
+    f3_set = grid.mask([(0.0, 1.0)])
     if cfg.theorem == "T1":
         f1 = _bump(grid, 4.0, 2.0)
-        f2 = f2_set.indicator(grid)
-        return f1, f2, f3_set, f2_set.measure
+        f2 = GridFunction(grid, f2_set + 0j)
+        return f1, f2, f3_set, f2_set
     if cfg.theorem == "T2":
         f1 = _bump(grid, 4.0, 1.0 / a1)
-        f2 = f2_set.indicator(grid)
-        return f1, f2, f3_set, f2_set.measure
+        f2 = GridFunction(grid, f2_set + 0j)
+        return f1, f2, f3_set, f2_set
     if cfg.theorem == "T3":
-        f3_set = IntervalSet.from_pairs([(0.0, delta)])
+        f3_set = grid.mask([(0.0, delta)])
         f1 = _bump(grid, 4.0, 1.0 / a1)
         f2 = _bump(grid, 2.0, 2.0)
-        return f1, f2, f3_set, f2_set.measure
+        return f1, f2, f3_set, f2_set
     # C15: all three restricted
-    f1_set = IntervalSet.from_pairs([(0.0, 1.0)])
-    f1 = f1_set.indicator(grid)
-    f2 = f2_set.indicator(grid)
-    return f1, f2, f3_set, f2_set.measure
+    f1 = GridFunction(grid, grid.mask([(0.0, 1.0)]) + 0j)
+    f2 = GridFunction(grid, f2_set + 0j)
+    return f1, f2, f3_set, f2_set
 
 
-def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):
+def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction,
+                          mask: np.ndarray):
     """The sweep engine's row with space-domain synthesis, one inverse FFT per
-    synthesized column: (lam, aligned f3, slot-3 synthesis, columns synthesized)."""
+    synthesized column: (lam, aligned f3, slot-3 synthesis, columns synthesized);
+    `mask` holds the major subset's samples."""
     grid, cfg = engine.grid, engine.cfg
     h = grid.spacing
     fh1 = np.fft.fft(f1.values)
@@ -349,7 +350,6 @@ def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction, f3_major):
                 continue
             w_total += w3
             synthesized += 1
-    mask = f3_major.indicator(grid).values.real > 0.5
     mag = np.abs(w_total)
     lam = float(mag[mask].sum() * h)
     f3 = np.zeros(grid.n, dtype=complex)

@@ -58,7 +58,9 @@ def test_cli_flags_file_usage_error(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("argv", [["--ratios", "0.5", "nan"],
                                   ["--ratios", "inf", "0.5"],
-                                  ["--ratios", "0.5", "--eps", "0"]])
+                                  ["--ratios", "0.5", "--eps", "0"],
+                                  # F2 = [0, 1e300) does not fit the domain
+                                  ["--ratios", "1e300", "1"]])
 def test_cli_bad_sweep_config(capsys, argv):
     assert main(["sweep", *argv, "--grid-n", "4096"]) == 1
     err = capsys.readouterr().err
@@ -176,6 +178,18 @@ def test_cli_sweep_engine_without_columns(capsys):
     assert len(rows) == 4
     assert all(r.endswith("[resolution-error: the lattice engine keeps no "
                           "column]") for r in rows)
+
+
+def test_cli_sweep_marks_rows_below_the_spacing(capsys):
+    # at n = 2^15, h = 2^-10: F2 = [0, delta) holds one sample for
+    # delta = 2^-11 ... 2^-14, so those rows have no grid measure to report
+    assert main(["sweep", "--dyadic", "14"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("delta=")]
+    assert len(rows) == 14
+    assert all(r.endswith("[ok]") for r in rows[:10])
+    assert all("[resolution-error: delta = " in r
+               and "below the grid spacing 0.000976562]" in r for r in rows[10:])
 
 
 def test_cli_mfcz(tmp_path, grid, params):

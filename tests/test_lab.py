@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from reference import (band_energy_mask, lattice_evaluate_loop,
                        sweep_family_per_row)
 from tflab import lab, timefreq
-from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, THEOREMS,
-                       SweepConfig, SweepRow, _f1, _family, _LatticeEngine,
-                       cantor_intervals, emit_report, fit_growth, in_hexagon,
-                       run_sweep, run_tree_suite, star, suite_direction)
+from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, SET_FAMILIES,
+                       THEOREMS, SweepConfig, SweepRow, _bound_rhs, _f1,
+                       _family, _LatticeEngine, cantor_intervals, emit_report,
+                       fit_growth, in_hexagon, run_sweep, run_tree_suite, star,
+                       suite_direction)
 from tflab.modelsum import coefficient_profile
 from tflab.osgood import InghamTable
 from tflab.packets import band_bins
-from tflab.sampling import Grid, GridFunction
+from tflab.sampling import Grid, GridFunction, lp_norm
 from tflab.timefreq import exceptional_sets
 
 
@@ -47,6 +48,10 @@ def test_sweep_config_validation():
     # any other name silently ran the interval family
     with pytest.raises(ValueError, match="set_family"):
         SweepConfig(set_family="Cantor")
+    # F2 = [0, delta) must fit the domain [-DOMAIN/2, DOMAIN/2)
+    with pytest.raises(ValueError, match="fits the domain"):
+        SweepConfig(ratios=(DOMAIN / 2 * 1.5, 1.0))
+    assert SweepConfig(ratios=(DOMAIN / 2,)).ratios == (DOMAIN / 2,)
     assert SweepConfig(theorem="C15").resolved_alpha() == (0.75, 0.75, -0.5)
     # T1 and T3 divide by neither alpha2 nor 1 - alpha2
     assert SweepConfig(theorem="T3", alpha=(0.5, 1.0, -0.5)).alpha[1] == 1.0
@@ -89,8 +94,8 @@ def test_engine_scales_fit_the_domain(table):
 
 def test_cantor_intervals():
     s = cantor_intervals(0.0, 1.0, 2)
-    assert len(s.parts) == 4
-    assert s.measure == pytest.approx((2.0 / 3.0) ** 2)
+    assert len(s) == 4
+    assert sum(hi - lo for lo, hi in s) == pytest.approx((2.0 / 3.0) ** 2)
 
 
 def test_suite_direction():
@@ -226,6 +231,28 @@ def test_run_sweep_cantor_family():
     rows = run_sweep(small_cfg(theorem="T1", set_family="cantor",
                                ratios=(0.25, 0.125)))
     assert all(r.status == "ok" for r in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theorem=st.sampled_from(THEOREMS), set_family=st.sampled_from(SET_FAMILIES),
+       log2n=st.integers(10, 13), data=st.data())
+def test_bound_rhs_reads_grid_measures(theorem, set_family, log2n, data):
+    # |F2| and |F3| enter the growth law as sample count x h, the measure the
+    # model sum integrates over, not as the nominal delta
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, 2 ** log2n)
+    delta = data.draw(st.floats(grid.spacing, 1.0), label="delta")
+    cfg = small_cfg(theorem=theorem, set_family=set_family, ratios=(delta,),
+                    grid_n=grid.n)
+    [row] = run_sweep(cfg)
+    f1 = _f1(cfg, grid)
+    f1n = lp_norm(f1, 2.0 if theorem == "T1" else 1.0 / cfg.resolved_alpha()[0])
+    f2, f3_set, f2_set = _family(cfg, delta, grid)
+    rhs = _bound_rhs(cfg, f1n, lp_norm(f2, 2.0),
+                     np.count_nonzero(f2_set) * grid.spacing,
+                     np.count_nonzero(f3_set) * grid.spacing)
+    assert row.status == "ok"
+    assert row.bound_rhs == rhs
+    assert row.ratio == row.lambda_model / rhs
 
 
 def test_tree_suite_runs():
@@ -399,10 +426,10 @@ def test_f1_and_family_match_per_row_family(theorem, set_family):
     grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     f1 = _f1(cfg, grid)
     for delta in cfg.ratios:
-        f1_ref, f2_ref, f3_set_ref, f2_measure_ref = sweep_family_per_row(
+        f1_ref, f2_ref, f3_set_ref, f2_set_ref = sweep_family_per_row(
             cfg, delta, grid)
-        f2, f3_set, f2_measure = _family(cfg, delta, grid)
+        f2, f3_set, f2_set = _family(cfg, delta, grid)
         assert np.array_equal(f1.values, f1_ref.values)
         assert np.array_equal(f2.values, f2_ref.values)
-        assert f3_set == f3_set_ref
-        assert f2_measure == f2_measure_ref
+        assert np.array_equal(f3_set, f3_set_ref)
+        assert np.array_equal(f2_set, f2_set_ref)

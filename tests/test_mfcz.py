@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import logging
 import math
 import os
@@ -17,8 +18,8 @@ from tflab.errors import CountingConditionError, ResolutionError
 from tflab.mfcz import (mfcz_decompose, mfcz_k_sweep, overlap_count,
                         riesz_project, verify_mfcz)
 from tflab.packets import TopDatum
-from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            IntervalSet, lp_norm, maximal_function)
+from tflab.sampling import (DyadicInterval, Grid, GridFunction, bands_inside,
+                            lp_norm, maximal_function)
 
 from conftest import bump_signal, mfcz_case
 from reference import riesz_project_window
@@ -327,11 +328,17 @@ def test_verify_zero_bad_part(grid, params, table):
 
 def test_verify_excludes_exceptional_intervals(grid, params, table):
     # intervals inside the exceptional set must not contribute coefficients
-    from tflab.mfcz import _outside
-    exc = IntervalSet.from_pairs([(0.0, 2.0)])
-    assert not _outside(exc, Band(0.5, 1.0))
-    assert _outside(exc, Band(1.5, 2.5))
-    assert _outside(exc, Band(3.0, 4.0))
+    exc = grid.mask([(0.0, 2.0)])
+    inside = bands_inside(exc, grid, np.array([0.5, 1.5, 3.0]),
+                          np.array([1.0, 2.5, 4.0]))
+    assert inside.tolist() == [True, False, False]
+    # E everywhere leaves verify_mfcz no interval to test
+    f, tops, lam = mfcz_case(np.random.default_rng(8), grid, params)
+    split = mfcz_decompose(f, tops, lam, 2, 1.0, params)
+    assert verify_mfcz(split, tops, table, levels=2).stats["stat_sup"] > 0
+    everywhere = dataclasses.replace(split, exceptional=np.ones(grid.n, bool))
+    stats = verify_mfcz(everywhere, tops, table, levels=2).stats
+    assert stats["stat_sup"] == stats["stat_block_l2"] == 0.0
 
 
 def test_mfcz_k_sweep_slope(grid, params, table):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from tflab.errors import GridMismatchError, ResolutionError
 from tflab.lab import random_collection, random_signal
 from tflab.modelsum import coefficient_profile, synthesis_profile
-from tflab.packets import (PacketBank, TopDatum, canonical_packet,
-                           dedup_freqs, freq_window_for_scale, split_meanzero,
-                           split_truncate, xi_H, xi_lattice)
+from tflab.packets import (PacketBank, TopDatum, band_bins, canonical_packet,
+                           dedup_freqs, freq_window_for_scale, packet_hat,
+                           split_meanzero, split_truncate, xi_H, xi_lattice)
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             inner_product, lp_norm)
 
@@ -126,6 +126,22 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
         assert (a is None) == (b is None) == (old is ResolutionError)
         if b is not None:
             assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(band=packet_bands())
+def test_packet_hat_vanishes_at_half_the_band_argument(table, band):
+    # the window spectrum is supported in [-1/2, 1/2]: of band_bins' bins
+    # (|arg| < 1), those with |arg| >= 1/2 hold exact zeros
+    j, eps, xi = band
+    try:
+        bins, arg = band_bins(SPEC_GRID, 2.0 ** j, xi, eps)
+        hat_bins, values = packet_hat(SPEC_GRID, 2.0 ** j, xi, eps, table)
+    except ResolutionError:
+        return
+    assert np.array_equal(hat_bins, bins)
+    assert np.all(values[np.abs(arg) >= 0.5] == 0.0)
+    assert np.any(values[np.abs(arg) < 0.5] != 0.0)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tflab.errors import GridMismatchError
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            IntervalSet, cover_count, inner_product, lp_norm,
+                            cover_count, inner_product, lp_norm,
                             local_norm, maximal_dyadic_intervals,
                             maximal_function, read_gridfunction_csv,
                             superlevel_decompose, write_gridfunction_csv)
@@ -310,7 +310,7 @@ def test_cover_count_matches_mask_loop(bands):
 
 
 # ---------------------------------------------------------------------------
-# interval sets, dyadic intervals, CSV
+# sample masks, dyadic intervals, CSV
 
 def test_dyadic_interval_geometry():
     q = DyadicInterval(-1, 3)
@@ -321,17 +321,16 @@ def test_dyadic_interval_geometry():
     assert q.dilate(3.0) == Band(1.0, 2.5)
 
 
-def test_interval_set_ops():
-    s = IntervalSet.from_pairs([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)])
-    assert s.parts == ((0.0, 2.0), (3.0, 4.0))
-    assert s.measure == 3.0
-    d = s.difference(IntervalSet.from_pairs([(0.5, 3.5)]))
-    assert d.parts == ((0.0, 0.5), (3.5, 4.0))
-    u = IntervalSet.from_pairs(s.parts + ((2.0, 3.0),))
-    assert u.parts == ((0.0, 4.0),)
-    g = Grid(-1.0, 5.0, 64)
-    ind = s.indicator(g)
-    assert lp_norm(ind, 1) == pytest.approx(3.0, abs=0.2)
+def test_grid_mask():
+    g = Grid(-1.0, 7.0, 64)  # h = 1/8, sample 8 at x = 0
+    m = g.mask([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)])
+    assert m.sum() * g.spacing == 3.0  # overlapping ranges count once
+    assert np.array_equal(m, g.mask([(0.0, 2.0), (3.0, 4.0)]))
+    # each range holds the samples of slice_of: lo in, hi out, clipped
+    assert np.flatnonzero(g.mask([(0.0, 0.25)])).tolist() == [8, 9]
+    assert np.flatnonzero(g.mask([(0.05, 0.25)])).tolist() == [9]
+    assert np.flatnonzero(g.mask([(6.8, 9.0)])).tolist() == [63]
+    assert not g.mask([]).any() and not g.mask([(2.0, 2.0)]).any()
 
 
 _pairs = st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64))
@@ -340,34 +339,28 @@ _pairs = st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64))
 
 @settings(max_examples=300, deadline=None)
 @given(_pairs, _pairs)
-def test_interval_set_algebra(pa, pb):
-    a, b = IntervalSet.from_pairs(pa), IntervalSet.from_pairs(pb)
-    for s in (a, b):
-        assert all(lo < hi for lo, hi in s.parts)
-        assert all(s.parts[i][1] < s.parts[i + 1][0]
-                   for i in range(len(s.parts) - 1))
-    union = IntervalSet.from_pairs(a.parts + b.parts)
-    assert a.difference(b).measure + b.measure == union.measure
+def test_grid_mask_is_a_union(pa, pb):
+    # on lattice endpoints a range holds exactly the samples lo <= x < hi
+    grid = Grid(-8.0, 8.0, 128)
+    xs = grid.xs()
+    union = np.zeros(grid.n, bool)
+    for lo, hi in pa + pb:
+        union |= (xs >= lo) & (xs < hi)
+    assert np.array_equal(grid.mask(pa + pb), union)
+    assert np.array_equal(grid.mask(pa) | grid.mask(pb), union)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([Grid(-4.0, 4.0, 64), Grid(-5.0, 27.0, 128)])
        .flatmap(lambda g: st.tuples(st.just(g), st.lists(
            st.booleans(), min_size=g.n, max_size=g.n))))
-def test_interval_set_mask_roundtrip(case):
+def test_grid_mask_runs_roundtrip(case):
+    # the runs of a mask, as ranges between sample points, give it back
     grid, bits = case
     mask = np.array(bits)
-    got = IntervalSet.from_mask(grid, mask).indicator(grid).values.real
-    assert np.array_equal(got, mask)
-
-
-def test_interval_set_from_mask():
-    g = Grid(0.0, 8.0, 16)
-    mask = np.zeros(16, bool)
-    mask[2:5] = True
-    mask[10:12] = True
-    s = IntervalSet.from_mask(g, mask)
-    assert s.parts == ((1.0, 2.5), (5.0, 6.0))
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    xs = grid.x0 + grid.spacing * edges
+    assert np.array_equal(grid.mask(zip(xs[::2], xs[1::2])), mask)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tflab.errors import DegeneracyError
 from tflab.lab import random_collection, random_signal, run_tree_suite
 from tflab.packets import PacketBank, TopDatum
-from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, IntervalSet
+from tflab.sampling import Band, DyadicInterval, Grid, GridFunction
 from tflab.timefreq import (Forest, Tree, Tritile, _SizeContext,
                             check_well_discretized, collection_size,
                             counting_split, exceptional_sets, f3_decompose,
@@ -463,10 +463,10 @@ def test_counting_split_adversarial_stack(params, grid):
 
 def test_exceptional_sets_zero(grid):
     z = GridFunction(grid, np.zeros(grid.n, complex))
-    f3 = IntervalSet.from_pairs([(0.0, 1.0)])
+    f3 = grid.mask([(0.0, 1.0)])
     e, ebar, major = exceptional_sets(z, z, f3, (0.5, 0.25, 0.25))
-    assert e.measure == 0 and ebar.measure == 0
-    assert major.parts == f3.parts
+    assert not e.any() and not ebar.any()
+    assert np.array_equal(major, f3)
 
 
 def test_exceptional_sets_huge_bump(grid):
@@ -477,19 +477,23 @@ def test_exceptional_sets_huge_bump(grid):
     base = 1.0 * ((xs >= -2) & (xs < 2))
     h1 = GridFunction(grid, spike + base + 0j)
     z = GridFunction(grid, np.zeros(grid.n, complex))
-    f3 = IntervalSet.from_pairs([(0.0, 1.0)])
+    f3 = grid.mask([(0.0, 1.0)])
     e, ebar, major = exceptional_sets(h1, z, f3, (0.5, 0.25, 0.25))
-    assert f3.measure <= 4 * major.measure  # enforced by the doubling loop
-    assert major.measure < f3.measure       # something was removed
+    assert f3.sum() <= 4 * major.sum()  # enforced by the doubling loop
+    assert major.sum() < f3.sum()       # something was removed
+    assert np.array_equal(major, f3 & ~ebar)
+    assert not (e & ~ebar).any()        # the closure holds E
 
 
 def test_exceptional_sets_validation(grid):
     z = GridFunction(grid, np.zeros(grid.n, complex))
-    f3 = IntervalSet.from_pairs([(0.0, 1.0)])
+    f3 = grid.mask([(0.0, 1.0)])
     with pytest.raises(ValueError):
         exceptional_sets(z, z, f3, (0.5, 0.25, 0.5))
-    with pytest.raises(ValueError):
-        exceptional_sets(z, z, IntervalSet.from_pairs([]), (0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="hold a sample"):
+        exceptional_sets(z, z, grid.mask([]), (0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="mask of"):
+        exceptional_sets(z, z, f3[::2], (0.5, 0.25, 0.25))
 
 
 # ---------------------------------------------------------------------------
