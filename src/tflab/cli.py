@@ -123,7 +123,7 @@ def _cmd_sweep(args) -> int:
               f"direct={r.lambda_direct:.6g} ratio={r.ratio:.6g} [{r.status}]")
     for name, (v, resid) in fits.items():
         print(f"{name} fit: {v:.4g} (rms {resid:.4g})")
-    if args.out_csv:
+    if args.out_csv or args.out_svg:
         return lab.emit_report(rows, fits, args.out_csv, args.out_svg)
     return 0 if any(r.status == "ok" for r in rows) else 2
 
@@ -198,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "mfcz" and args.out_csv and not args.k_sweep:
+        ap.error("mfcz --out-csv writes the k-sweep table; it needs --k-sweep")
     try:
         return args.func(args)
     except (LabError, ValueError, OSError) as exc:

@@ -207,8 +207,9 @@ class _LatticeEngine:
                        range(SCALE_LOG2_MAX, cfg.scale_log2_min - 1, -1)
                        if 4 * grid.spacing <= 2.0 ** j]
         fh1 = np.fft.fft(f1.values)
-        # a column is pruned when its slot-1 band is unresolvable or holds
-        # under 1e-12 of f1's spectral energy on its `band_bins`
+        # a column is pruned when its slot-1 band holds under 1e-12 of f1's
+        # spectral energy, and dropped when any of its three bands does not
+        # resolve, so every kept column runs through each row
         power = np.abs(fh1) ** 2
         total = float(power.sum())
         lo = int(round((-POS_EXTENT - grid.x0) / grid.spacing))
@@ -223,15 +224,16 @@ class _LatticeEngine:
                 xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
                 try:
                     bins, _ = band_bins(grid, s, xi[0], cfg.eps)
+                    if total <= 0 or power[bins].sum() / total < 1e-12:
+                        continue
+                    band_bins(grid, s, xi[1], cfg.eps)
+                    band_bins(grid, s, xi[2], cfg.eps)
                 except ResolutionError:
-                    continue
-                if total <= 0 or power[bins].sum() / total < 1e-12:
                     continue
                 g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table,
                                          step, r)
-                if g1 is not None:
-                    self.columns.append((s, step, r, slots, xi[1], xi[2],
-                                         g1[slots]))
+                self.columns.append((s, step, r, slots, xi[1], xi[2],
+                                     g1[slots]))
 
     def evaluate(self, f2: GridFunction,
                  mask: np.ndarray) -> tuple[float, GridFunction]:
@@ -243,14 +245,11 @@ class _LatticeEngine:
         for s, step, r, slots, xi2, xi3, g1 in self.columns:
             g2 = coefficient_profile(fh2, grid, s, xi2, cfg.eps, self.table,
                                      step, r)
-            if g2 is None:
-                continue
             weights = np.zeros(g2.size, dtype=complex)
             weights[slots] = np.conj(g1 * g2[slots]) * s ** -0.5
-            w3 = synthesis_profile(weights, grid, s, xi3, cfg.eps, self.table, r)
-            if w3 is not None:
-                bins, values = w3
-                spectrum[bins] += values
+            bins, values = synthesis_profile(weights, grid, s, xi3, cfg.eps,
+                                             self.table, r)
+            spectrum[bins] += values
         w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
         mag = np.abs(w_total)
         lam = float(mag[mask].sum() * grid.spacing)
@@ -354,15 +353,17 @@ def fit_growth(rows, model: str, min_exponent: float | None = None
 
 def emit_report(rows: list[SweepRow], fits: dict[str, tuple[float, float]],
                 csv_path, svg_path) -> int:
-    """CSV of the rows plus a log-log SVG with fitted overlays; 2 when empty."""
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FIELDS)
-        for r in rows:
-            w.writerow([repr(float(r.delta)), repr(float(r.lambda_model)),
-                        repr(float(r.lambda_direct)), repr(float(r.bound_rhs)),
-                        repr(float(r.ratio)), repr(float(r.f3_major_fraction)),
-                        r.status])
+    """CSV of the rows plus a log-log SVG with fitted overlays, each written
+    when its path is not None; 2 when no row is ok."""
+    if csv_path is not None:
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(FIELDS)
+            for r in rows:
+                w.writerow([repr(float(r.delta)), repr(float(r.lambda_model)),
+                            repr(float(r.lambda_direct)),
+                            repr(float(r.bound_rhs)), repr(float(r.ratio)),
+                            repr(float(r.f3_major_fraction)), r.status])
     ok = [r for r in rows if r.status == "ok" and math.isfinite(r.ratio)
           and r.ratio > 0]
     if not ok:

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .errors import ResolutionError
 from .packets import PacketBank, packet_hat
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, _same_grid,
                        dyadic_log2)
@@ -265,20 +264,16 @@ def _ramp(bins: np.ndarray, r: int, n: int) -> np.ndarray:
 
 
 def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
-                        eps: float, table, step: int,
-                        r: int) -> np.ndarray | None:
+                        eps: float, table, step: int, r: int) -> np.ndarray:
     """<f, packet centered at x0 + (r + step j) h> for j = 0 ... n/step - 1.
 
     f_hat must be fft(f.values) and step must divide n.  The band's bins of
     f_hat conj(hat) e^{2 pi i k r/n} are folded modulo m = n/step and inverted
-    by one FFT of size m.  Returns None when the band is unresolvable
-    (off-Nyquist or spanning fewer than 4 bins).  Canonical packets are exact
-    translates of each other, so the coefficient map is a correlation.
+    by one FFT of size m.  An unresolvable band raises ResolutionError
+    (`packet_hat`).  Canonical packets are exact translates of each other,
+    so the coefficient map is a correlation.
     """
-    try:
-        bins, hat = packet_hat(grid, scale, xi, eps, table)
-    except ResolutionError:
-        return None
+    bins, hat = packet_hat(grid, scale, xi, eps, table)
     m = grid.n // step
     # <f, p_c> = (1/L) sum_k F_k conj(H_k) e^{2 pi i zeta_k (c - x0)}
     prod = f_hat[bins] * grid.spacing * hat * _ramp(bins, r, grid.n)
@@ -291,18 +286,15 @@ def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
 
 def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi: float,
                       eps: float, table,
-                      r: int) -> tuple[np.ndarray, np.ndarray] | None:
+                      r: int) -> tuple[np.ndarray, np.ndarray]:
     """Band form (bins, spectrum) of sum_j weights[j] * packet_{r + step j}.
 
     weights has m = n/step entries, one per translate at the stride; its FFT
     of size m, tiled over the band with the conjugate phase ramp and the hat,
     is the synthesis spectrum, zero off `bins`.  The synthesis on the grid
     is ifft(spectrum) * (n / L); callers add the spectra of many columns and
-    invert once.  None when unresolvable.
+    invert once.  An unresolvable band raises ResolutionError.
     """
-    try:
-        bins, hat = packet_hat(grid, scale, xi, eps, table)
-    except ResolutionError:
-        return None
+    bins, hat = packet_hat(grid, scale, xi, eps, table)
     w_hat = np.fft.fft(weights)
     return bins, w_hat[bins % weights.size] * hat * np.conj(_ramp(bins, r, grid.n))

@@ -46,23 +46,17 @@ class WavePacket:
         """Adaptation rate of the decay envelope (eps/100)."""
         return self.epsilon / 100.0
 
-    @property
-    def band(self) -> Band:
-        half = 0.5 * self.epsilon / self.datum.interval.length
-        return Band(self.datum.xi - half, self.datum.xi + half)
-
 
 def band_bins(grid: Grid, scale: float, xi: float,
               eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(bins, arg) of the band that holds the packet spectrum.
 
     `bins` are the indices, in fftfreq order, of the lattice bins with
-    |arg| < 1, arg = (scale/eps)(zeta - xi), and `arg` their window
+    |arg| < 1/2, arg = (scale/eps)(zeta - xi), and `arg` their window
     arguments.  The window spectrum is supported in [-1/2, 1/2], so the
-    packet spectrum at spatial scale `scale` and xi vanishes off these bins
-    and is exactly zero on those with |arg| >= 1/2.  The engine prune and
-    the pinned packet bits read this band, so it keeps that margin.  Raises
-    ResolutionError when the band crosses Nyquist or spans fewer than 4 bins.
+    packet spectrum at spatial scale `scale` and xi vanishes off these bins.
+    Raises ResolutionError when the band crosses Nyquist or is narrower than
+    4 bin spacings; a resolvable band holds 3 bins or more.
     """
     bandwidth = eps / scale
     if abs(xi) + bandwidth / 2 >= grid.nyquist:
@@ -77,11 +71,11 @@ def band_bins(grid: Grid, scale: float, xi: float,
     dz = 1.0 / (n * grid.spacing)  # the lattice spacing, as fftfreq has it
     # signed bin numbers around the band, one bin of slack for rounding at
     # either end, clipped to the lattice's -n/2 ... (n - 1)/2
-    k0 = max(math.floor((xi - 1 / lam_s) / dz) - 1, -(n // 2))
-    k1 = min(math.ceil((xi + 1 / lam_s) / dz) + 1, (n - 1) // 2)
+    k0 = max(math.floor((xi - 0.5 / lam_s) / dz) - 1, -(n // 2))
+    k1 = min(math.ceil((xi + 0.5 / lam_s) / dz) + 1, (n - 1) // 2)
     k = np.arange(k0, k1 + 1)
     arg = lam_s * (k * dz - xi)
-    band = np.abs(arg) < 1
+    band = np.abs(arg) < 0.5
     return k[band] % n, arg[band]
 
 
@@ -171,7 +165,8 @@ class PacketBank:
         so their spectrum comes from one `packet_hat` call.  The first
         unresolvable datum raises ResolutionError and an f on another grid
         raises GridMismatchError, checked datum by datum in that order.
-        Each coefficient is `inner_product`'s expression on the samples.
+        Each coefficient is vdot(samples, f.values) * h on the packet's
+        samples.
         """
         grid = self.grid
         tds = list(tds)

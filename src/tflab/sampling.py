@@ -127,12 +127,6 @@ def _same_grid(f: GridFunction, g: GridFunction) -> None:
         raise GridMismatchError(f"{f.grid} vs {g.grid}")
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> complex:
-    """Quadrature of f * conj(g) (trapezoid rule, periodic convention)."""
-    _same_grid(f, g)
-    return complex(np.vdot(g.values, f.values) * f.grid.spacing)
-
-
 def lp_norm(f: GridFunction, p: float) -> float:
     """Global (unnormalized) L^p quadrature norm; p = inf gives the sup norm."""
     a = np.abs(f.values)

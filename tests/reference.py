@@ -16,10 +16,17 @@ from tflab.mfcz import RCOND
 from tflab.osgood import _box_widths
 from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            dyadic_cover, grid_dyadic_scales, lp_norm)
+                            _same_grid, dyadic_cover, grid_dyadic_scales,
+                            lp_norm)
 from tflab.timefreq import (BETA, HALVING_ROUNDS, Forest, Tree, Tritile,
                             _make_tree, _pair_violations, gamma_from_beta,
                             validate_tree)
+
+
+def inner_product(f: GridFunction, g: GridFunction) -> complex:
+    """Quadrature of f * conj(g) (trapezoid rule, periodic convention)."""
+    _same_grid(f, g)
+    return complex(np.vdot(g.values, f.values) * f.grid.spacing)
 
 
 def sliding_max_blocks(a: np.ndarray, m: int) -> np.ndarray:
@@ -335,8 +342,8 @@ def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction,
         idx = np.arange(lo, hi + 1, step) % grid.n
         for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
             xi = [(engine.gamma[j] * mxi + engine.beta[j]) / s for j in range(3)]
-            if (total <= 0 or band_energy_mask(freqs, power, xi[0], cfg.eps / s)
-                    / total < 1e-12):
+            if (total <= 0 or band_energy_mask(freqs, power, xi[0],
+                                               cfg.eps / (2 * s)) / total < 1e-12):
                 continue
             g1 = coefficient_profile_full(fh1, grid, s, xi[0], cfg.eps, engine.table)
             g2 = coefficient_profile_full(fh2, grid, s, xi[1], cfg.eps, engine.table)

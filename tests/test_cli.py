@@ -32,6 +32,16 @@ def test_cli_sweep_emits_reports(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_cli_sweep_writes_svg_without_csv(tmp_path, capsys):
+    # each output flag writes its own file
+    svg_path = tmp_path / "x.svg"
+    code = main(["sweep", "--dyadic", "4", "--grid-n", "4096",
+                 "--out-svg", str(svg_path)])
+    assert code == 0
+    assert svg_path.read_text().startswith("<svg")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.svg"]
+
+
 def test_cli_config_overrides(tmp_path):
     # a flags file seeds the run; a flag after it wins
     flags = tmp_path / "flags.txt"
@@ -249,6 +259,22 @@ def test_cli_mfcz_k_sweep_needs_two_k(tmp_path, capsys, grid, params, k):
     out, err = capsys.readouterr()
     assert err.startswith("error: a k-sweep needs at least two k values")
     assert "Traceback" not in err and "decay slope" not in out
+
+
+def test_cli_mfcz_out_csv_needs_k_sweep(tmp_path, capsys, grid, params):
+    # only a k-sweep has a table to write; a lone decomposition never would
+    from conftest import mfcz_case
+    f, _, lam = mfcz_case(np.random.default_rng(0), grid, params)
+    sig = tmp_path / "sig.csv"
+    write_gridfunction_csv(f, sig)
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["mfcz", "--signal", str(sig), "--tops-file=0,0,1.0",
+              "--lam", str(lam), "--out-csv", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: tflab" in err and "--k-sweep" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_error_exit(tmp_path, capsys):

@@ -13,11 +13,10 @@ from tflab.modelsum import coefficient_profile, synthesis_profile
 from tflab.packets import (PacketBank, TopDatum, band_bins, canonical_packet,
                            dedup_freqs, freq_window_for_scale, packet_hat,
                            split_meanzero, split_truncate, xi_H, xi_lattice)
-from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            inner_product, lp_norm)
+from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
 
 from reference import (canonical_packet_full, coefficient_profile_full,
-                       dedup_freqs_loop, synthesis_profile_full)
+                       dedup_freqs_loop, inner_product, synthesis_profile_full)
 
 
 @pytest.fixture()
@@ -35,8 +34,9 @@ def quad_at(f: GridFunction, xi: float) -> complex:
 def test_packet_norm_and_leakage(packet, grid):
     assert lp_norm(packet.samples, 2) == pytest.approx(1.0, abs=1e-6)
     hat = np.fft.fft(packet.samples.values)
-    zeta = grid.freqs()
-    out = np.abs(zeta - packet.datum.xi) > packet.band.length / 2 + 1e-12
+    out = np.ones(grid.n, dtype=bool)
+    out[band_bins(grid, packet.datum.interval.length, packet.datum.xi,
+                  packet.epsilon)[0]] = False
     assert np.abs(hat[out]).max() <= 1e-8 * np.abs(hat).max()
 
 
@@ -94,8 +94,6 @@ def _outcome(fn, *args):
 def synthesis(weights, g, *args):
     """synthesis_profile's band spectrum, scattered and inverted: the synthesis."""
     band = synthesis_profile(weights, g, *args)
-    if band is None:
-        return None
     spec = np.zeros(g.n, dtype=complex)
     spec[band[0]] = band[1]
     return np.fft.ifft(spec) * (g.n / g.length)
@@ -119,11 +117,13 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
     weights = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     scale = 2.0 ** j
     # at stride 1 and offset 0 the profiles fold nothing and carry no phase
-    for a, b in ((coefficient_profile(f_hat, g, scale, xi, eps, table, 1, 0),
+    # (the full-length builders return None where the profiles raise)
+    for a, b in ((_outcome(coefficient_profile, f_hat, g, scale, xi, eps,
+                           table, 1, 0),
                   coefficient_profile_full(f_hat, g, scale, xi, eps, table)),
-                 (synthesis(weights, g, scale, xi, eps, table, 0),
+                 (_outcome(synthesis, weights, g, scale, xi, eps, table, 0),
                   synthesis_profile_full(weights, g, scale, xi, eps, table))):
-        assert (a is None) == (b is None) == (old is ResolutionError)
+        assert (a is ResolutionError) == (b is None) == (old is ResolutionError)
         if b is not None:
             assert np.array_equal(a, b)
 
@@ -131,17 +131,23 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
 @settings(max_examples=300, deadline=None)
 @given(band=packet_bands())
 def test_packet_hat_vanishes_at_half_the_band_argument(table, band):
-    # the window spectrum is supported in [-1/2, 1/2]: of band_bins' bins
-    # (|arg| < 1), those with |arg| >= 1/2 hold exact zeros
+    # the window spectrum is supported in [-1/2, 1/2]: band_bins keeps
+    # exactly the fftfreq indices with |(s/eps)(zeta - xi)| < 1/2, and the
+    # full-length spectrum is exactly zero off them
     j, eps, xi = band
+    g = SPEC_GRID
     try:
-        bins, arg = band_bins(SPEC_GRID, 2.0 ** j, xi, eps)
-        hat_bins, values = packet_hat(SPEC_GRID, 2.0 ** j, xi, eps, table)
+        bins, arg = band_bins(g, 2.0 ** j, xi, eps)
+        hat_bins, values = packet_hat(g, 2.0 ** j, xi, eps, table)
     except ResolutionError:
         return
+    lam_s = 2.0 ** j / eps
+    full_arg = lam_s * (g.freqs() - xi)
+    assert np.array_equal(np.sort(bins),
+                          np.flatnonzero(np.abs(full_arg) < 0.5))
     assert np.array_equal(hat_bins, bins)
-    assert np.all(values[np.abs(arg) >= 0.5] == 0.0)
-    assert np.any(values[np.abs(arg) < 0.5] != 0.0)
+    assert np.any(values != 0.0)
+    assert np.all(table.spectrum_at(full_arg[np.abs(full_arg) >= 0.5]) == 0.0)
 
 
 @st.composite
@@ -196,14 +202,14 @@ def test_folded_profiles_match_full_length_builders(table, draw, pos, seed):
     weights = rng.normal(size=m) + 1j * rng.normal(size=m)
     spread = np.zeros(g.n, dtype=complex)
     spread[at] = weights
-    a = coefficient_profile(f_hat, g, scale, xi, eps, table, step, r)
+    a = _outcome(coefficient_profile, f_hat, g, scale, xi, eps, table, step, r)
     b = coefficient_profile_full(f_hat, g, scale, xi, eps, table)
-    assert (a is None) == (b is None) == (old is ResolutionError)
+    assert (a is ResolutionError) == (b is None) == (old is ResolutionError)
     if b is not None:
         assert np.abs(a - b[at]).max() <= 1e-12 * np.abs(b[at]).max()
-    a = synthesis(weights, g, scale, xi, eps, table, r)
+    a = _outcome(synthesis, weights, g, scale, xi, eps, table, r)
     b = synthesis_profile_full(spread, g, scale, xi, eps, table)
-    assert (a is None) == (b is None)
+    assert (a is ResolutionError) == (b is None)
     if b is not None:
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from tflab.errors import GridMismatchError
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            cover_count, inner_product, lp_norm,
-                            local_norm, maximal_dyadic_intervals,
-                            maximal_function, read_gridfunction_csv,
-                            superlevel_decompose, write_gridfunction_csv)
+                            cover_count, local_norm, lp_norm,
+                            maximal_dyadic_intervals, maximal_function,
+                            read_gridfunction_csv, superlevel_decompose,
+                            write_gridfunction_csv)
 
-from reference import (cover_count_loop, maximal_dyadic_intervals_loop,
-                       maximal_function_blocks, maximal_function_brute,
-                       superlevel_decompose_loop)
+from reference import (cover_count_loop, inner_product,
+                       maximal_dyadic_intervals_loop, maximal_function_blocks,
+                       maximal_function_brute, superlevel_decompose_loop)
 
 
 def indicator(grid, lo, hi):
