@@ -181,18 +181,23 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     bad: dict[DyadicInterval, GridFunction] = {}
     be_ratios = []
     with _one_blas_thread():
-        for q in qs:
-            tq = q.dilate(3.0)
+        tqs = [q.dilate(3.0) for q in qs]
+        for tq in tqs:
             if tq.lo < grid.x0 - 1e-12 or tq.hi > grid.x1 + 1e-12:
                 raise ResolutionError(f"3Q = [{tq.lo}, {tq.hi}) leaves the grid domain")
-            pieces = [xi_H(td, tq, bigk, params, eps) for td in live_tops]
-            pieces = [z for z in pieces if z.size]
-            if pieces:
-                finest = 1.0 / (3.0 * uk * max(td.interval.length for td in live_tops))
-                freqs = dedup_freqs(np.concatenate(pieces), finest / 100.0)
-            else:
-                freqs = np.array([])
-            xi_q[q] = freqs
+        # Xi_Q is the union of one set per live top; Q's whose sets agree
+        # share one union (one array)
+        per_top = [xi_H(td, tqs, bigk, params, eps) for td in live_tops]
+        if live_tops:
+            finest = 1.0 / (3.0 * uk * max(td.interval.length for td in live_tops))
+        unions: dict[tuple[bytes, ...], np.ndarray] = {}
+        for i, (q, tq) in enumerate(zip(qs, tqs)):
+            pieces = [z[i] for z in per_top if z[i].size]
+            key = tuple(z.tobytes() for z in pieces)
+            if key not in unions:
+                unions[key] = (dedup_freqs(np.concatenate(pieces), finest / 100.0)
+                               if pieces else np.array([]))
+            freqs = xi_q[q] = unions[key]
             sl = grid.slice_of(tq.lo, tq.hi)
             groups.setdefault((sl.stop - sl.start, freqs.tobytes()), []).append((q, sl))
 

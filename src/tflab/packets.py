@@ -316,57 +316,87 @@ def freq_window_for_scale(xi: float, inv_length: float, eps: float) -> Band:
     return best
 
 
-def xi_H(td: TopDatum, H: Band, K: float, params: OsgoodParams,
-         eps: float) -> np.ndarray:
-    """Mean-zero frequency set of the datum relative to the interval H.
+def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams,
+         eps: float) -> list[np.ndarray]:
+    """Mean-zero frequency sets of the datum relative to each interval H of `bands`.
 
-    Returns {xi} together with the lattices of every dyadic subinterval J of I
-    such that J is not inside 3H, H fits inside 3u(K)J, and |J| <= 2^(10K)|H|.
-    Empty when H misses 3u(K)I or I lies inside 3H.
+    For each H: {xi} together with the lattices of every dyadic subinterval J
+    of I such that J is not inside 3H, H fits inside 3u(K)J, and
+    |J| <= 2^(10K)|H|.  Empty when H misses 3u(K)I or I lies inside 3H.
+    A lattice depends on the level of J alone, so each level's is built once,
+    and bands whose qualifying levels agree share one set (one array).  The
+    level test runs over every (H, level, J) at once with the float
+    expressions of the per-band test, so each set keeps its bits.
     """
     I = td.interval
     uk = params.u(K)
-    if not H.intersects(I.dilate(3.0 * uk)) or H.dilate(3.0).contains_band(I.band()):
-        return np.array([])
+    hlo = np.array([H.lo for H in bands], dtype=float)
+    hhi = np.array([H.hi for H in bands], dtype=float)
+    hlen, hc = hhi - hlo, 0.5 * (hlo + hhi)
+    reach = I.dilate(3.0 * uk)
+    half3 = 0.5 * 3.0 * hlen  # H.dilate(3.0)
+    h3lo, h3hi = hc - half3, hc + half3
+    live = ((hlo < reach.hi) & (reach.lo < hhi)
+            & ~((h3lo <= I.lo) & (I.hi <= h3hi)))
+    if not live.any():
+        return [np.array([]) for _ in range(hlo.size)]
     # window selection assumes a small band fraction (the decomposition theory
     # fixes eps <= 2^-8); clamp so the shifted-grid window always exists
     eps = min(eps, 1.0 / 16.0)
-    freqs = [np.array([td.xi])]
-    min_len = H.length / (3.0 * uk)
-    cap = math.ldexp(H.length, int(min(10 * K, 60)))
-    level = 0
+    min_len = hlen / (3.0 * uk)
+    cap = np.ldexp(hlen, int(min(10 * K, 60)))
+    floor_len = min_len[live].min()
+    lengths = []  # |J| at level 0, 1, ... down to the finest band's cut-off
     while True:
-        length = I.length * 2.0 ** (-level)
-        if length < min_len or length < 1e-12:
+        length = I.length * 2.0 ** (-len(lengths))
+        if length < floor_len or length < 1e-12:
             break
-        if length <= cap and _level_qualifies(I, level, H, uk):
-            scale = I.scale - level
-            omega = freq_window_for_scale(td.xi, 1.0 / length, eps)
-            freqs.append(xi_lattice(DyadicInterval(scale, I.pos << level),
-                                    omega, K, params))
-        level += 1
-    out = np.concatenate(freqs)
-    finest = 1.0 / (3.0 * uk * I.length)
-    return dedup_freqs(out, finest / 100.0)
-
-
-def _level_qualifies(I: DyadicInterval, level: int, H: Band, uk: float) -> bool:
-    """Does some J in D(I) at this level satisfy J not in 3H, H in 3u(K)J?"""
-    length = I.length * 2.0 ** (-level)
-    base = I.pos << level
+        lengths.append(length)
+    level_len = np.array(lengths)
+    # (band, level) pairs the per-band level loop reaches
+    b, lev = np.nonzero(live[:, None] & (level_len >= min_len[:, None])
+                        & (level_len <= cap[:, None]))
+    length = level_len[lev]
     # H inside 3u(K)J constrains the center of J to a window around H
-    room = 1.5 * uk * length - 0.5 * H.length
-    if room < 0:
-        return False
-    lo = max(I.lo, H.center - room - length)
-    hi = min(I.hi, H.center + room + length)
-    p0 = max(base, int(math.floor(lo / length)))
-    p1 = min(base + (1 << level) - 1, int(math.ceil(hi / length)))
-    h3 = H.dilate(3.0)
-    for pos in range(p0, p1 + 1):
-        J = DyadicInterval(I.scale - level, pos)
-        if h3.contains_band(J.band()):
+    room = 1.5 * uk * length - 0.5 * hlen[b]
+    lo = np.maximum(I.lo, hc[b] - room - length)
+    hi = np.minimum(I.hi, hc[b] + room + length)
+    base = np.left_shift(I.pos, lev)
+    p0 = np.maximum(base, np.floor(lo / length).astype(np.int64))
+    p1 = np.minimum(base + np.left_shift(1, lev) - 1,
+                    np.ceil(hi / length).astype(np.int64))
+    count = np.where(room < 0, 0, np.maximum(p1 - p0 + 1, 0))
+    # one row per candidate J
+    pair = np.repeat(np.arange(b.size), count)
+    pos = p0[pair] + (np.arange(pair.size) - (np.cumsum(count) - count)[pair])
+    jb, jlen = b[pair], length[pair]
+    jlo, jhi = pos * jlen, (pos + 1) * jlen
+    # J.dilate(3.0 * uk)
+    center, half = 0.5 * (jlo + jhi), 0.5 * (3.0 * uk) * (jhi - jlo)
+    # J not inside 3H, and H inside 3u(K)J
+    hits = (~((h3lo[jb] <= jlo) & (jhi <= h3hi[jb]))
+            & (center - half <= hlo[jb]) & (hhi[jb] <= center + half))
+    qualifies = np.zeros((hlo.size, len(lengths)), dtype=bool)
+    qualifies[b[pair[hits]], lev[pair[hits]]] = True
+
+    finest = 1.0 / (3.0 * uk * I.length)
+    lattices: dict[int, np.ndarray] = {}
+    sets: dict[bytes, np.ndarray] = {}
+    out = []
+    for row, is_live in zip(qualifies, live.tolist()):
+        if not is_live:
+            out.append(np.array([]))
             continue
-        if J.dilate(3.0 * uk).contains_band(H):
-            return True
-    return False
+        key = row.tobytes()
+        if key not in sets:
+            freqs = [np.array([td.xi])]
+            for level in np.flatnonzero(row).tolist():
+                if level not in lattices:
+                    omega = freq_window_for_scale(td.xi, 1.0 / lengths[level], eps)
+                    lattices[level] = xi_lattice(
+                        DyadicInterval(I.scale - level, I.pos << level),
+                        omega, K, params)
+                freqs.append(lattices[level])
+            sets[key] = dedup_freqs(np.concatenate(freqs), finest / 100.0)
+        out.append(sets[key])
+    return out

@@ -14,7 +14,8 @@ from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, _bump, cantor_intervals,
                        random_collection, random_signal)
 from tflab.mfcz import RCOND
 from tflab.osgood import _box_widths
-from tflab.packets import R_CONST, TopDatum, WavePacket, canonical_packet
+from tflab.packets import (R_CONST, TopDatum, WavePacket, canonical_packet,
+                           dedup_freqs, freq_window_for_scale, xi_lattice)
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             _same_grid, dyadic_cover, grid_dyadic_scales,
                             lp_norm)
@@ -190,6 +191,56 @@ def riesz_project_window(h: GridFunction, window: Band, freqs: np.ndarray):
     gq[sl] = a @ coef
     g_q = GridFunction(grid, gq)
     return g_q, h - g_q, int(rank), sing
+
+
+# the frequency set of one datum relative to one interval H, with its level
+# test as a loop over the intervals J of each level
+
+def xi_H_band(td: TopDatum, H: Band, K: float, params,
+              eps: float) -> np.ndarray:
+    I = td.interval
+    uk = params.u(K)
+    if not H.intersects(I.dilate(3.0 * uk)) or H.dilate(3.0).contains_band(I.band()):
+        return np.array([])
+    eps = min(eps, 1.0 / 16.0)
+    freqs = [np.array([td.xi])]
+    min_len = H.length / (3.0 * uk)
+    cap = math.ldexp(H.length, int(min(10 * K, 60)))
+    level = 0
+    while True:
+        length = I.length * 2.0 ** (-level)
+        if length < min_len or length < 1e-12:
+            break
+        if length <= cap and _level_qualifies(I, level, H, uk):
+            scale = I.scale - level
+            omega = freq_window_for_scale(td.xi, 1.0 / length, eps)
+            freqs.append(xi_lattice(DyadicInterval(scale, I.pos << level),
+                                    omega, K, params))
+        level += 1
+    out = np.concatenate(freqs)
+    finest = 1.0 / (3.0 * uk * I.length)
+    return dedup_freqs(out, finest / 100.0)
+
+
+def _level_qualifies(I: DyadicInterval, level: int, H: Band, uk: float) -> bool:
+    """Does some J in D(I) at this level satisfy J not in 3H, H in 3u(K)J?"""
+    length = I.length * 2.0 ** (-level)
+    base = I.pos << level
+    room = 1.5 * uk * length - 0.5 * H.length
+    if room < 0:
+        return False
+    lo = max(I.lo, H.center - room - length)
+    hi = min(I.hi, H.center + room + length)
+    p0 = max(base, int(math.floor(lo / length)))
+    p1 = min(base + (1 << level) - 1, int(math.ceil(hi / length)))
+    h3 = H.dilate(3.0)
+    for pos in range(p0, p1 + 1):
+        J = DyadicInterval(I.scale - level, pos)
+        if h3.contains_band(J.band()):
+            continue
+        if J.dilate(3.0 * uk).contains_band(H):
+            return True
+    return False
 
 
 # packet spectra evaluated on every frequency bin, each builder with its own
@@ -384,6 +435,17 @@ def build_tritile_lattice(m_sigma, m_x, m_xi) -> list[Tritile]:
                 out.append(Tritile(DyadicInterval(ms, mx), tuple(
                     Band(cj - 0.5 / ell, cj + 0.5 / ell) for cj in c)))
     return out
+
+
+# the well-discretization check with the pair rule evaluated for every pair
+
+def check_well_discretized_loop(S, r_const: float = R_CONST):
+    S = list(S)
+    bad = []
+    for i, s in enumerate(S):
+        for t in S[i + 1:]:
+            bad.extend(_pair_violations(s, t, r_const))
+    return (not bad, bad)
 
 
 # greedy well-discretized thinning with the pair rule evaluated for every

@@ -440,3 +440,22 @@ def test_blas_threads_restored_after_an_error(grid, params, blas_at_two):
         with pytest.raises(ResolutionError, match="3Q"):
             mfcz_decompose(f, tops, lam, 1, 1.0, params)
     assert get() == 2
+
+
+def test_3q_off_the_grid_raises_before_any_xi_work(grid, params):
+    # Q = [15, 16) sits in the domain but 3Q = [14, 17) does not; the Q
+    # before it is fine and its Xi_Q needs the live top, so a per-Q order
+    # would have called xi_H first
+    f, tops, lam = mfcz_case(np.random.default_rng(0), grid, params)
+    inner, edge = DyadicInterval(-2, 0), DyadicInterval(0, 15)
+    with mock.patch.object(mfcz, "xi_H", wraps=mfcz.xi_H) as xi:
+        with mock.patch.object(mfcz, "superlevel_decompose", return_value=[inner]):
+            mfcz_decompose(f, tops, lam, 1, 1.0, params)
+        assert xi.call_count == len(tops)
+        xi.reset_mock()
+        with mock.patch.object(mfcz, "superlevel_decompose",
+                               return_value=[inner, edge]):
+            with pytest.raises(ResolutionError,
+                               match=r"3Q = \[14\.0, 17\.0\) leaves"):
+                mfcz_decompose(f, tops, lam, 1, 1.0, params)
+        assert xi.call_count == 0

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from tflab.errors import GridMismatchError, ResolutionError
 from tflab.lab import random_collection, random_signal
 from tflab.modelsum import coefficient_profile, synthesis_profile
+from tflab.osgood import OsgoodParams
 from tflab.packets import (PacketBank, TopDatum, band_bins, canonical_packet,
                            dedup_freqs, freq_window_for_scale, packet_hat,
                            split_meanzero, split_truncate, xi_H, xi_lattice)
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
 
 from reference import (canonical_packet_full, coefficient_profile_full,
-                       dedup_freqs_loop, inner_product, synthesis_profile_full)
+                       dedup_freqs_loop, inner_product, synthesis_profile_full,
+                       xi_H_band)
 
 
 @pytest.fixture()
@@ -428,10 +430,12 @@ def test_freq_window_for_scale():
 def test_xi_H_regimes(params):
     td = TopDatum(DyadicInterval(0, 4), 2.0)  # I = [4, 5)
     uk = params.u(1.0)
-    far = xi_H(td, Band(-1.0, -0.5), 1.0, params, 0.25)     # misses 9I
-    near = xi_H(td, Band(4.25, 4.5), 2.0, params, 0.25)     # inside 9I
-    empty = xi_H(td, Band(-300.0, -299.0), 1.0, params, 0.25)
-    swallowed = xi_H(td, Band(0.0, 20.0), 1.0, params, 0.25)  # I inside 3H
+    far, empty, swallowed = xi_H(
+        td, [Band(-1.0, -0.5),      # misses 9I
+             Band(-300.0, -299.0),
+             Band(0.0, 20.0)],      # I inside 3H
+        1.0, params, 0.25)
+    [near] = xi_H(td, [Band(4.25, 4.5)], 2.0, params, 0.25)  # inside 9I
     assert empty.size == 0 and swallowed.size == 0
     assert 0 < far.size <= 3 * uk * math.log(uk) * 15
     uk2 = params.u(2.0)
@@ -439,6 +443,44 @@ def test_xi_H_regimes(params):
     for z in (far, near):
         assert np.all(np.diff(z) > 0)
         assert td.xi in z
+    assert xi_H(td, [], 1.0, params, 0.25) == []
+
+
+@st.composite
+def xi_H_draws(draw):
+    """(td, bands, K, params, eps): a top at scale -3..3 and bands at scales
+    -9..2, some beside I, some far enough to miss 3u(K)I, some wide enough to
+    swallow it, and repeats, so bands share sets.  Besides the real u, a
+    dyadic u(K) puts the ends of 3u(K)J on the dyadic grid, where the
+    level test's comparisons meet equality."""
+    K = draw(st.floats(0.5, 4.0))
+    u = draw(st.sampled_from([None, 1.0, 1.5, 4.0]))
+    params = (OsgoodParams(1.0) if u is None
+              else types.SimpleNamespace(u=lambda t: u))
+    I = DyadicInterval(draw(st.integers(-3, 3)), draw(st.integers(-8, 7)))
+    td = TopDatum(I, draw(st.floats(-4.0, 4.0)))
+    reach = 3.0 * params.u(K) * I.length
+    bands = []
+    for _ in range(draw(st.integers(1, 16))):
+        scale = draw(st.integers(-9, 2))
+        center = I.center + draw(st.floats(-1.0, 1.0)) * reach
+        q = DyadicInterval(scale, math.floor(center / math.ldexp(1.0, scale)))
+        bands.append(q.dilate(draw(st.sampled_from([1.0, 3.0]))))
+    bands += bands[:draw(st.integers(0, 3))]
+    eps = draw(st.sampled_from([2.0 ** -8, 0.25, 1.0]))
+    return td, bands, K, params, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi_H_draws())
+def test_xi_H_matches_per_band_loop(draw):
+    td, bands, K, params, eps = draw
+    got = xi_H(td, bands, K, params, eps)
+    assert len(got) == len(bands)
+    for z, H in zip(got, bands):
+        want = xi_H_band(td, H, K, params, eps)
+        assert z.dtype == want.dtype and np.array_equal(z, want)
+        assert z.tobytes() == want.tobytes()
 
 
 def test_dedup_freqs():

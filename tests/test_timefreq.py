@@ -19,7 +19,8 @@ from tflab.timefreq import (Forest, Tree, Tritile, _SizeContext,
 
 from conftest import bump_signal
 from reference import (CachingPacketBank, SizeContextRef,
-                       build_tritile_lattice, collection_size_ref,
+                       build_tritile_lattice, check_well_discretized_loop,
+                       collection_size_ref,
                        f3_decompose_ref, greedy_split_ref,
                        lacunary_frequency_loop, size_lemma_split_ref,
                        thin_well_discretized_loop, tree_suite_stats_ref)
@@ -100,15 +101,44 @@ THIN_LATTICES = [build_tritile_lattice(range(-2, 2), range(-4, 4),
                  for d in (1, 4, 16, 64)]
 
 
+@st.composite
+def crowded_collections(draw):
+    """Up to 40 draws from a few frequency columns at a few positions of one
+    lattice: pairs share (column, column, same interval) keys, with clean and
+    violating pairs of one column, repeats, and equal lengths in both orders."""
+    lattice = draw(st.sampled_from(THIN_LATTICES))
+    columns = sorted({(s.space.scale, s.freqs) for s in lattice})
+    cols = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=4))
+    pos = draw(st.lists(st.integers(-4, 3), min_size=2, max_size=3, unique=True))
+    pool = [s for s in lattice
+            if (s.space.scale, s.freqs) in cols and s.space.pos in pos]
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
 @settings(max_examples=60, deadline=None)
-@given(S=st.sampled_from(THIN_LATTICES).flatmap(
-           lambda lattice: st.lists(st.sampled_from(lattice), max_size=120)),
+@given(S=st.one_of(
+           st.sampled_from(THIN_LATTICES).flatmap(
+               lambda lattice: st.lists(st.sampled_from(lattice), max_size=120)),
+           crowded_collections()),
        r_const=st.sampled_from([16.0, 32.0]))
 def test_thin_well_discretized_matches_pairwise_loop(S, r_const):
     # drawn with duplicates and in any order; the pair rule decided once per
     # (column, column, same interval) keeps exactly what the loop keeps
     assert (thin_well_discretized(S, r_const=r_const)
             == thin_well_discretized_loop(S, r_const=r_const))
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.one_of(
+           st.sampled_from(THIN_LATTICES).flatmap(
+               lambda lattice: st.lists(st.sampled_from(lattice), max_size=60)),
+           crowded_collections()),
+       r_const=st.sampled_from([16.0, 32.0]))
+def test_check_well_discretized_matches_pairwise_loop(S, r_const):
+    # drawn with duplicates, equal-length pairs and in any order, so a pair's
+    # (s, t) order matters; the messages and their order are the loop's
+    assert (check_well_discretized(S, r_const=r_const)
+            == check_well_discretized_loop(S, r_const=r_const))
 
 
 # ---------------------------------------------------------------------------
