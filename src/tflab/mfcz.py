@@ -41,7 +41,7 @@ class MfczSplit:
     good: GridFunction
     bad_parts: dict[DyadicInterval, GridFunction]
     q_intervals: list[DyadicInterval]
-    xi_q: dict[DyadicInterval, np.ndarray]
+    xi_q: dict[DyadicInterval, np.ndarray]  # read-only; equal sets share one
     exceptional: np.ndarray  # sample mask of the superlevel set E
     diagnostics: dict[str, float] = field(default_factory=dict)
 
@@ -186,7 +186,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
             if tq.lo < grid.x0 - 1e-12 or tq.hi > grid.x1 + 1e-12:
                 raise ResolutionError(f"3Q = [{tq.lo}, {tq.hi}) leaves the grid domain")
         # Xi_Q is the union of one set per live top; Q's whose sets agree
-        # share one union (one array)
+        # share one union (one read-only array)
         per_top = [xi_H(td, tqs, bigk, params, eps) for td in live_tops]
         if live_tops:
             finest = 1.0 / (3.0 * uk * max(td.interval.length for td in live_tops))
@@ -197,6 +197,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
             if key not in unions:
                 unions[key] = (dedup_freqs(np.concatenate(pieces), finest / 100.0)
                                if pieces else np.array([]))
+                unions[key].setflags(write=False)
             freqs = xi_q[q] = unions[key]
             sl = grid.slice_of(tq.lo, tq.hi)
             groups.setdefault((sl.stop - sl.start, freqs.tobytes()), []).append((q, sl))

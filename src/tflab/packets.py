@@ -324,9 +324,9 @@ def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams,
     of I such that J is not inside 3H, H fits inside 3u(K)J, and
     |J| <= 2^(10K)|H|.  Empty when H misses 3u(K)I or I lies inside 3H.
     A lattice depends on the level of J alone, so each level's is built once,
-    and bands whose qualifying levels agree share one set (one array).  The
-    level test runs over every (H, level, J) at once with the float
-    expressions of the per-band test, so each set keeps its bits.
+    and bands whose qualifying levels agree share one set (one read-only
+    array).  The level test runs over every (H, level, J) at once with the
+    float expressions of the per-band test, so each set keeps its bits.
     """
     I = td.interval
     uk = params.u(K)
@@ -398,5 +398,6 @@ def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams,
                         omega, K, params)
                 freqs.append(lattices[level])
             sets[key] = dedup_freqs(np.concatenate(freqs), finest / 100.0)
+            sets[key].setflags(write=False)
         out.append(sets[key])
     return out

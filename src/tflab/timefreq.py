@@ -182,34 +182,17 @@ def _pair_violations(s: Tritile, t: Tritile, r_const: float) -> list[str]:
     return bad
 
 
-def _column_ids(S) -> list[int]:
-    """Index of each tritile's frequency column (its bands and scale)."""
-    columns: dict = {}
-    return [columns.setdefault((s.freqs, s.space.scale), len(columns)) for s in S]
-
-
 def check_well_discretized(S, r_const: float = R_CONST) -> tuple[bool, list[str]]:
     """The four structural requirements on a tritile collection.
 
     The spatial intervals are dyadic by construction, hence always form a
     grid, and distinct dyadic scales are separated by a factor of at least 2.
-    Whether a pair (s, t) violates a requirement depends only on the two
-    frequency columns and on whether the intervals are equal, so that is
-    decided once per such key; each pair of a key with violations reports
-    its own, in pair order.
     """
     S = list(S)
-    col = _column_ids(S)
-    clean: dict = {}
     bad: list[str] = []
     for i, s in enumerate(S):
-        for k in range(i + 1, len(S)):
-            key = (col[i], col[k], s.space == S[k].space)
-            if clean.get(key, False):
-                continue
-            found = _pair_violations(s, S[k], r_const)
-            clean[key] = not found
-            bad.extend(found)
+        for t in S[i + 1:]:
+            bad.extend(_pair_violations(s, t, r_const))
     return (not bad, bad)
 
 
@@ -225,7 +208,9 @@ def thin_well_discretized(S, r_const: float = R_CONST) -> list[Tritile]:
     """
     order = sorted(S, key=lambda s: (-s.space.scale, s.space.pos,
                                      s.freqs[0].lo))
-    col = _column_ids(order)
+    columns: dict = {}
+    col = [columns.setdefault((s.freqs, s.space.scale), len(columns))
+           for s in order]
     compatible: dict = {}
     kept: list[int] = []
     for i, s in enumerate(order):

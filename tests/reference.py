@@ -437,17 +437,6 @@ def build_tritile_lattice(m_sigma, m_x, m_xi) -> list[Tritile]:
     return out
 
 
-# the well-discretization check with the pair rule evaluated for every pair
-
-def check_well_discretized_loop(S, r_const: float = R_CONST):
-    S = list(S)
-    bad = []
-    for i, s in enumerate(S):
-        for t in S[i + 1:]:
-            bad.extend(_pair_violations(s, t, r_const))
-    return (not bad, bad)
-
-
 # greedy well-discretized thinning with the pair rule evaluated for every
 # candidate against every kept tritile
 

@@ -162,6 +162,8 @@ def test_one_lstsq_per_shared_projection_space(params):
         if split.xi_q[q].size:
             keys.add((sl.stop - sl.start, split.xi_q[q].tobytes()))
     assert lstsq.call_count == len(keys) < len(split.q_intervals)
+    # Q's with equal Xi_Q share one array, so none of them can be written
+    assert not any(z.flags.writeable for z in split.xi_q.values())
 
 
 def test_one_rank_line_per_deficient_q(params):

@@ -443,6 +443,7 @@ def test_xi_H_regimes(params):
     for z in (far, near):
         assert np.all(np.diff(z) > 0)
         assert td.xi in z
+        assert not z.flags.writeable  # bands with equal sets share the array
     assert xi_H(td, [], 1.0, params, 0.25) == []
 
 

@@ -19,8 +19,7 @@ from tflab.timefreq import (Forest, Tree, Tritile, _SizeContext,
 
 from conftest import bump_signal
 from reference import (CachingPacketBank, SizeContextRef,
-                       build_tritile_lattice, check_well_discretized_loop,
-                       collection_size_ref,
+                       build_tritile_lattice, collection_size_ref,
                        f3_decompose_ref, greedy_split_ref,
                        lacunary_frequency_loop, size_lemma_split_ref,
                        thin_well_discretized_loop, tree_suite_stats_ref)
@@ -126,19 +125,6 @@ def test_thin_well_discretized_matches_pairwise_loop(S, r_const):
     # (column, column, same interval) keeps exactly what the loop keeps
     assert (thin_well_discretized(S, r_const=r_const)
             == thin_well_discretized_loop(S, r_const=r_const))
-
-
-@settings(max_examples=100, deadline=None)
-@given(S=st.one_of(
-           st.sampled_from(THIN_LATTICES).flatmap(
-               lambda lattice: st.lists(st.sampled_from(lattice), max_size=60)),
-           crowded_collections()),
-       r_const=st.sampled_from([16.0, 32.0]))
-def test_check_well_discretized_matches_pairwise_loop(S, r_const):
-    # drawn with duplicates, equal-length pairs and in any order, so a pair's
-    # (s, t) order matters; the messages and their order are the loop's
-    assert (check_well_discretized(S, r_const=r_const)
-            == check_well_discretized_loop(S, r_const=r_const))
 
 
 # ---------------------------------------------------------------------------
