@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ResolutionError
 from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
-from .packets import PacketBank, TopDatum, band_bins
+from .packets import PacketBank, TopDatum, band_rows
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, Report,
                        lp_norm, maximal_function)
 from .timefreq import (BETA, Tree, Tritile, _SizeContext, exceptional_sets,
@@ -44,6 +44,9 @@ SCALE_LOG2_MAX = 2
 #: majority check is admissible; a large one shrinks the excluded buffer and
 #: probes the sharpness of the growth law
 EXC_C0 = 64.0
+#: most samples (columns x fold size) of one block of engine columns, which
+#: bounds a block's arrays; every column's bits are the same at any size
+BLOCK_SAMPLES = 2 ** 14
 
 def in_hexagon(alpha) -> bool:
     """True when the exponent triple lies in the admissible hexagon."""
@@ -193,7 +196,11 @@ class _LatticeEngine:
 
     Built once per sweep from f1 (the prune, the slot-1 profiles); rows pass f2.
     A column at scale s has translates every step = s/h samples, at offset r
-    from the origin; they are the slots of its folded profiles, of size n/step.
+    from the origin; they are the slots of its folded profiles, of size
+    m = n/step.  The kept columns of a scale share s, step, r and the slots,
+    so they run in blocks of at most BLOCK_SAMPLES // m columns, in frequency
+    order: `blocks` holds (s, step, r, slots, xi2, xi3, g1) per block, with
+    one entry of xi2 and xi3 and one row of g1 per column.
     """
 
     def __init__(self, cfg: SweepConfig, grid: Grid, table: InghamTable,
@@ -214,26 +221,31 @@ class _LatticeEngine:
         total = float(power.sum())
         lo = int(round((-POS_EXTENT - grid.x0) / grid.spacing))
         hi = int(round((POS_EXTENT - grid.x0) / grid.spacing))
-        self.columns = []
+        mxi = np.arange(-cfg.m_xi_max, cfg.m_xi_max + 1)
+        self.blocks = []
         for s in self.scales:
             step = round(s / grid.spacing)
             r = lo % step
             # the translates span samples n/4 ... 3n/4, so no slot wraps
             slots = np.arange(lo, hi + 1, step) // step
-            for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
-                xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
-                try:
-                    bins, _ = band_bins(grid, s, xi[0], cfg.eps)
-                    if total <= 0 or power[bins].sum() / total < 1e-12:
-                        continue
-                    band_bins(grid, s, xi[1], cfg.eps)
-                    band_bins(grid, s, xi[2], cfg.eps)
-                except ResolutionError:
-                    continue
-                g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table,
-                                         step, r)
-                self.columns.append((s, step, r, slots, xi[1], xi[2],
-                                     g1[slots]))
+            xi = [(self.gamma[j] * mxi + self.beta[j]) / s for j in range(3)]
+            bins, _, counts, fault = band_rows(grid, s, xi[0], cfg.eps)
+            keep = (fault == 0) & (total > 0)
+            ends = counts.cumsum()
+            for i in np.flatnonzero(keep).tolist():
+                # one sum over the column's own bins, as for a lone column
+                if power[bins[ends[i] - counts[i]:ends[i]]].sum() / total < 1e-12:
+                    keep[i] = False
+            for x in xi[1:]:
+                keep[keep] = band_rows(grid, s, x[keep], cfg.eps)[3] == 0
+            kept = np.flatnonzero(keep)
+            rows = max(1, BLOCK_SAMPLES // (grid.n // step))
+            for a in range(0, kept.size, rows):
+                at = kept[a:a + rows]
+                g1 = coefficient_profile(fh1, grid, s, xi[0][at], cfg.eps,
+                                         table, step, r)
+                self.blocks.append((s, step, r, slots, xi[1][at], xi[2][at],
+                                    g1[:, slots]))
 
     def evaluate(self, f2: GridFunction,
                  mask: np.ndarray) -> tuple[float, GridFunction]:
@@ -242,14 +254,16 @@ class _LatticeEngine:
         grid, cfg = self.grid, self.cfg
         fh2 = np.fft.fft(f2.values)
         spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
-        for s, step, r, slots, xi2, xi3, g1 in self.columns:
+        for s, step, r, slots, xi2, xi3, g1 in self.blocks:
             g2 = coefficient_profile(fh2, grid, s, xi2, cfg.eps, self.table,
                                      step, r)
-            weights = np.zeros(g2.size, dtype=complex)
-            weights[slots] = np.conj(g1 * g2[slots]) * s ** -0.5
+            weights = np.zeros(g2.shape, dtype=complex)
+            weights[:, slots] = np.conj(g1 * g2[:, slots]) * s ** -0.5
             bins, values = synthesis_profile(weights, grid, s, xi3, cfg.eps,
                                              self.table, r)
-            spectrum[bins] += values
+            # neighbouring columns' bands can overlap: add bin by bin, in
+            # column order
+            np.add.at(spectrum, bins, values)
         w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
         mag = np.abs(w_total)
         lam = float(mag[mask].sum() * grid.spacing)
@@ -284,7 +298,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     def one(delta: float) -> SweepRow:
         try:
-            if not engine.columns:
+            if not engine.blocks:
                 raise ResolutionError("the lattice engine keeps no column")
             if delta < grid.spacing:
                 raise ResolutionError(f"delta = {delta:.6g} is below the grid "

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .packets import PacketBank, packet_hat
+from .packets import PacketBank, packet_hats
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, _same_grid,
                        dyadic_log2)
 from .timefreq import Tritile, check_well_discretized
@@ -256,45 +256,59 @@ def lambda_direct(f1: GridFunction, f2: GridFunction, f3: GridFunction,
 # The engine needs packets only at the samples r + step j, j = 0 ... m - 1,
 # with m = n / step.  Bins k and k + m carry the same phase at that stride,
 # so folding a spectrum modulo m and transforming at size m gives those
-# samples exactly (the aliasing identity behind pruned FFTs).
+# samples exactly (the aliasing identity behind pruned FFTs).  Both profiles
+# take a block of columns of one scale, one row per frequency, and compute
+# each row with the one-column expressions.
 
 def _ramp(bins: np.ndarray, r: int, n: int) -> np.ndarray:
     """e^{2 pi i k r / n} at the bins k, with k r reduced modulo n exactly."""
     return np.exp(2j * np.pi * ((bins * r) % n / n))
 
 
-def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi: float,
-                        eps: float, table, step: int, r: int) -> np.ndarray:
-    """<f, packet centered at x0 + (r + step j) h> for j = 0 ... n/step - 1.
+def _row_slots(counts: np.ndarray, bins: np.ndarray, m: int) -> np.ndarray:
+    """Flat index row * m + (bin mod m) of each bin of ragged rows."""
+    return np.repeat(np.arange(counts.size) * m, counts) + bins % m
 
-    f_hat must be fft(f.values) and step must divide n.  The band's bins of
-    f_hat conj(hat) e^{2 pi i k r/n} are folded modulo m = n/step and inverted
-    by one FFT of size m.  An unresolvable band raises ResolutionError
-    (`packet_hat`).  Canonical packets are exact translates of each other,
-    so the coefficient map is a correlation.
+
+def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi,
+                        eps: float, table, step: int, r: int) -> np.ndarray:
+    """<f, packet centered at x0 + (r + step j) h> for j = 0 ... n/step - 1,
+    one row per frequency of `xi`: an array of shape (len(xi), n/step).
+
+    f_hat must be fft(f.values) and step must divide n.  Each row's band
+    bins of f_hat conj(hat) e^{2 pi i k r/n} are folded modulo m = n/step
+    (one bincount over the block, keyed by row and slot, so each slot adds
+    its row's terms in their order) and inverted by one FFT of size m per
+    row.  An unresolvable band raises ResolutionError (`packet_hats`).
+    Canonical packets are exact translates of each other, so the
+    coefficient map is a correlation.
     """
-    bins, hat = packet_hat(grid, scale, xi, eps, table)
+    bins, hat, counts = packet_hats(grid, scale, xi, eps, table)
     m = grid.n // step
+    size = counts.size * m
     # <f, p_c> = (1/L) sum_k F_k conj(H_k) e^{2 pi i zeta_k (c - x0)}
     prod = f_hat[bins] * grid.spacing * hat * _ramp(bins, r, grid.n)
-    slot = bins % m
-    folded = np.empty(m, dtype=complex)
-    folded.real = np.bincount(slot, prod.real, m)
-    folded.imag = np.bincount(slot, prod.imag, m)
+    key = _row_slots(counts, bins, m)
+    folded = np.empty((counts.size, m), dtype=complex)
+    folded.real = np.bincount(key, prod.real, size).reshape(-1, m)
+    folded.imag = np.bincount(key, prod.imag, size).reshape(-1, m)
     return np.fft.ifft(folded) * (m / grid.length)
 
 
-def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi: float,
+def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi,
                       eps: float, table,
                       r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Band form (bins, spectrum) of sum_j weights[j] * packet_{r + step j}.
+    """Band form (bins, spectrum) of sum_j weights[i, j] * packet_{r + step j}
+    at frequency xi[i], for each row i, the rows' bands concatenated in order.
 
-    weights has m = n/step entries, one per translate at the stride; its FFT
-    of size m, tiled over the band with the conjugate phase ramp and the hat,
-    is the synthesis spectrum, zero off `bins`.  The synthesis on the grid
-    is ifft(spectrum) * (n / L); callers add the spectra of many columns and
+    weights has one row of m = n/step entries per frequency, one per
+    translate at the stride; each row's FFT of size m, tiled over its band
+    with the conjugate phase ramp and the hat, is that row's synthesis
+    spectrum, zero off its bins.  The synthesis on the grid is
+    ifft(spectrum) * (n / L); callers add the spectra of many columns and
     invert once.  An unresolvable band raises ResolutionError.
     """
-    bins, hat = packet_hat(grid, scale, xi, eps, table)
-    w_hat = np.fft.fft(weights)
-    return bins, w_hat[bins % weights.size] * hat * np.conj(_ramp(bins, r, grid.n))
+    bins, hat, counts = packet_hats(grid, scale, xi, eps, table)
+    w_hat = np.fft.fft(weights).reshape(-1)
+    at = _row_slots(counts, bins, weights.shape[-1])
+    return bins, w_hat[at] * hat * np.conj(_ramp(bins, r, grid.n))

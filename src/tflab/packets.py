@@ -6,8 +6,11 @@ modulated to xi (phase referenced at the center, so translates of the datum
 give exact translates of the samples).  Packets are synthesized in the
 frequency domain, so their discrete spectra vanish identically off the band of
 length eps/|I| centered at xi, and are unit-normalized in the grid L2 norm.
-`packet_hat` is the one definition of that spectrum; the sweep engine's
-translation-batched profiles (`tflab.modelsum`) build on it too.
+`band_rows` is the one band rule and `packet_hats` the one definition of that
+spectrum, both for any number of frequencies at one scale, as ragged rows
+that each keep the one-frequency bits.  Packets and `PacketBank` read the
+one-row case; the sweep engine's profiles (`tflab.modelsum`) read a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -47,71 +50,103 @@ class WavePacket:
         return self.epsilon / 100.0
 
 
-def band_bins(grid: Grid, scale: float, xi: float,
-              eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(bins, arg) of the band that holds the packet spectrum.
+def band_rows(grid: Grid, scale: float, xi,
+              eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The band rule for every frequency of `xi` at one scale, as ragged rows.
 
-    `bins` are the indices, in fftfreq order, of the lattice bins with
-    |arg| < 1/2, arg = (scale/eps)(zeta - xi), and `arg` their window
-    arguments.  The window spectrum is supported in [-1/2, 1/2], so the
-    packet spectrum at spatial scale `scale` and xi vanishes off these bins.
-    Raises ResolutionError when the band crosses Nyquist or is narrower than
-    4 bin spacings; a resolvable band holds 3 bins or more.
+    Returns (bins, arg, counts, fault).  Row i holds the next counts[i]
+    entries of `bins` and `arg`: the indices, in fftfreq order, of the
+    lattice bins with |arg| < 1/2, arg = (scale/eps)(zeta - xi[i]), and
+    their window arguments.  The window spectrum is supported in
+    [-1/2, 1/2], so the packet spectrum at spatial scale `scale` and xi[i]
+    vanishes off these bins.  fault[i] is 0 for a resolvable band, 1 when
+    the band crosses Nyquist (or xi[i] is NaN) and 2 when it is narrower
+    than 4 bin spacings (tested in that order); such a row holds no bins.
+    A resolvable band holds 3 bins or more.  Every row is computed with the
+    one-frequency expressions, so it does not depend on the others.
     """
+    xi = np.asarray(xi, dtype=float).reshape(-1)
     bandwidth = eps / scale
-    if abs(xi) + bandwidth / 2 >= grid.nyquist:
-        raise ResolutionError(
-            f"band at {xi} (width {bandwidth}) exceeds Nyquist {grid.nyquist}")
+    # a NaN frequency fails the Nyquist test too
+    over = ~(np.abs(xi) + bandwidth / 2 < grid.nyquist)
+    fault = over.astype(np.int8)
     if bandwidth * grid.length < 4:
-        raise ResolutionError(
-            f"band width {bandwidth} spans fewer than 4 frequency bins "
-            f"on a grid of length {grid.length}")
+        fault[~over] = 2
+        return (np.empty(0, dtype=np.int64), np.empty(0),
+                np.zeros(xi.size, dtype=np.int64), fault)
     n = grid.n
     lam_s = scale / eps
     dz = 1.0 / (n * grid.spacing)  # the lattice spacing, as fftfreq has it
-    # signed bin numbers around the band, one bin of slack for rounding at
+    ok = np.flatnonzero(~over)
+    xo = xi[ok]
+    # signed bin numbers around each band, one bin of slack for rounding at
     # either end, clipped to the lattice's -n/2 ... (n - 1)/2
-    k0 = max(math.floor((xi - 0.5 / lam_s) / dz) - 1, -(n // 2))
-    k1 = min(math.ceil((xi + 0.5 / lam_s) / dz) + 1, (n - 1) // 2)
-    k = np.arange(k0, k1 + 1)
-    arg = lam_s * (k * dz - xi)
+    k0 = np.floor((xo - 0.5 / lam_s) / dz).astype(np.int64) - 1
+    k1 = np.ceil((xo + 0.5 / lam_s) / dz).astype(np.int64) + 1
+    np.maximum(k0, -(n // 2), out=k0)
+    np.minimum(k1, (n - 1) // 2, out=k1)
+    span = k1 - k0 + 1
+    row = np.repeat(ok, span)
+    k = np.arange(row.size) + np.repeat(k0 + span - span.cumsum(), span)
+    arg = lam_s * (k * dz - np.repeat(xo, span))
     band = np.abs(arg) < 0.5
-    return k[band] % n, arg[band]
+    return (k[band] % n, arg[band], np.bincount(row[band], minlength=xi.size),
+            fault)
 
 
-def packet_hat(grid: Grid, scale: float, xi: float, eps: float,
-               table: InghamTable) -> tuple[np.ndarray, np.ndarray]:
-    """Band form (bins, values) of the unit-normalized packet spectrum.
+def packet_hats(grid: Grid, scale: float, xi, eps: float,
+                table: InghamTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band form (bins, values, counts) of the unit-normalized packet
+    spectrum at spatial scale `scale`, one ragged row per frequency of `xi`
+    (a scalar xi is one row).
 
-    The one definition of the packet spectrum at spatial scale `scale` and
-    xi: the window spectrum dilated to scale/eps and centered at xi,
-    normalized in the grid L2 norm.  It is zero off `band_bins`; `values`
-    are the spectrum on those bins.  Each value, and the norm, equal those
-    of the full-length spectrum bit for bit.  Raises ResolutionError when
-    the band is unresolvable (`band_bins`) or misses every bin.
+    The one definition of the packet spectrum: the window spectrum dilated
+    to scale/eps and centered at xi, normalized in the grid L2 norm.  Row i
+    is zero off its `band_rows` bins; `values` are the spectrum on those
+    bins.  Each value, and each norm, equal those of the full-length
+    spectrum bit for bit.  Raises ResolutionError for the first row whose
+    band is unresolvable (`band_rows`), then for the first that misses
+    every bin.
     """
-    bins, arg = band_bins(grid, scale, xi, eps)
+    bins, arg, counts, fault = band_rows(grid, scale, xi, eps)
+    if fault.any():
+        i = int(np.flatnonzero(fault)[0])
+        bandwidth = eps / scale
+        if fault[i] == 1:
+            raise ResolutionError(
+                f"band at {float(np.reshape(xi, -1)[i])} (width {bandwidth}) "
+                f"exceeds Nyquist {grid.nyquist}")
+        raise ResolutionError(
+            f"band width {bandwidth} spans fewer than 4 frequency bins "
+            f"on a grid of length {grid.length}")
     values = scale / eps * table.spectrum_at(arg)
-    # the norm sums the squares in their full-length places: summation order
-    # sets its last bits, and canonical packets' bits are pinned
+    # each norm sums its row's squares in their full-length places:
+    # summation order sets its last bits, and canonical packets' bits are
+    # pinned; one zeroed vector serves every row
+    squares = values**2
     sq = np.zeros(grid.n)
-    sq[bins] = values**2
-    norm = math.sqrt(sq.sum() / grid.length)
-    if norm == 0:
-        raise ResolutionError("packet band misses every frequency bin")
-    return bins, values / norm
+    a = 0
+    for b in counts.cumsum().tolist():
+        sq[bins[a:b]] = squares[a:b]
+        norm = math.sqrt(sq.sum() / grid.length)
+        if norm == 0:
+            raise ResolutionError("packet band misses every frequency bin")
+        sq[bins[a:b]] = 0.0
+        values[a:b] /= norm
+        a = b
+    return bins, values, counts
 
 
 def _packet_band(td: TopDatum, eps: float, table: InghamTable,
                  grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bins, values, ramp) of the datum's band, shared by its translates.
 
-    `packet_hat`'s band form, and the phase-ramp factor -2 pi i zeta at
-    zeta = `grid.freqs()[bins]`.
+    `packet_hats`' band form (its one-row case), and the phase-ramp factor
+    -2 pi i zeta at zeta = `grid.freqs()[bins]`.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    bins, values = packet_hat(grid, td.interval.length, td.xi, eps, table)
+    bins, values, _ = packet_hats(grid, td.interval.length, td.xi, eps, table)
     return bins, values, -2j * np.pi * grid.freqs()[bins]
 
 
@@ -162,7 +197,7 @@ class PacketBank:
         """<f, packet> for each datum in order (`coefficient` asks for one).
 
         Data that share (interval scale, xi) differ only in the phase ramp,
-        so their spectrum comes from one `packet_hat` call.  The first
+        so their spectrum comes from one `packet_hats` call.  The first
         unresolvable datum raises ResolutionError and an f on another grid
         raises GridMismatchError, checked datum by datum in that order.
         Each coefficient is vdot(samples, f.values) * h on the packet's

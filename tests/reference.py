@@ -10,9 +10,10 @@ import math
 import numpy as np
 
 from tflab.errors import ResolutionError
-from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, _bump, cantor_intervals,
-                       random_collection, random_signal)
+from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, SCALE_LOG2_MAX, _bump,
+                       cantor_intervals, random_collection, random_signal)
 from tflab.mfcz import RCOND
+from tflab.modelsum import _ramp
 from tflab.osgood import _box_widths
 from tflab.packets import (R_CONST, TopDatum, WavePacket, canonical_packet,
                            dedup_freqs, freq_window_for_scale, xi_lattice)
@@ -295,12 +296,127 @@ def synthesis_profile_full(weights, grid: Grid, scale: float, xi: float,
     return np.fft.ifft(np.fft.fft(weights) * hat) * (grid.n / grid.length)
 
 
+# the one-frequency band rule and packet spectrum, and the sweep engine one
+# folded column at a time on them: its build keeps, per column, (scale,
+# step, offset, slots, xi2, xi3, slot-1 coefficients at the slots), and its
+# row adds each column's slot-3 spectrum in column order
+
+def band_bins_one(grid: Grid, scale: float, xi: float, eps: float):
+    bandwidth = eps / scale
+    if abs(xi) + bandwidth / 2 >= grid.nyquist:
+        raise ResolutionError(
+            f"band at {xi} (width {bandwidth}) exceeds Nyquist {grid.nyquist}")
+    if bandwidth * grid.length < 4:
+        raise ResolutionError(
+            f"band width {bandwidth} spans fewer than 4 frequency bins "
+            f"on a grid of length {grid.length}")
+    n = grid.n
+    lam_s = scale / eps
+    dz = 1.0 / (n * grid.spacing)
+    k0 = max(math.floor((xi - 0.5 / lam_s) / dz) - 1, -(n // 2))
+    k1 = min(math.ceil((xi + 0.5 / lam_s) / dz) + 1, (n - 1) // 2)
+    k = np.arange(k0, k1 + 1)
+    arg = lam_s * (k * dz - xi)
+    band = np.abs(arg) < 0.5
+    return k[band] % n, arg[band]
+
+
+def packet_hat_one(grid: Grid, scale: float, xi: float, eps: float, table):
+    bins, arg = band_bins_one(grid, scale, xi, eps)
+    values = scale / eps * table.spectrum_at(arg)
+    sq = np.zeros(grid.n)
+    sq[bins] = values**2
+    norm = math.sqrt(sq.sum() / grid.length)
+    if norm == 0:
+        raise ResolutionError("packet band misses every frequency bin")
+    return bins, values / norm
+
+
+def coefficient_profile_column(f_hat, grid: Grid, scale: float, xi: float,
+                               eps: float, table, step: int, r: int):
+    bins, hat = packet_hat_one(grid, scale, xi, eps, table)
+    m = grid.n // step
+    prod = f_hat[bins] * grid.spacing * hat * _ramp(bins, r, grid.n)
+    slot = bins % m
+    folded = np.empty(m, dtype=complex)
+    folded.real = np.bincount(slot, prod.real, m)
+    folded.imag = np.bincount(slot, prod.imag, m)
+    return np.fft.ifft(folded) * (m / grid.length)
+
+
+def synthesis_profile_column(weights, grid: Grid, scale: float, xi: float,
+                             eps: float, table, r: int):
+    bins, hat = packet_hat_one(grid, scale, xi, eps, table)
+    w_hat = np.fft.fft(weights)
+    return bins, w_hat[bins % weights.size] * hat * np.conj(_ramp(bins, r, grid.n))
+
+
+def lattice_columns(cfg, grid: Grid, table, f1: GridFunction) -> list:
+    beta = np.asarray(BETA, dtype=float)
+    gamma = gamma_from_beta(beta)
+    fh1 = np.fft.fft(f1.values)
+    power = np.abs(fh1) ** 2
+    total = float(power.sum())
+    lo = int(round((-POS_EXTENT - grid.x0) / grid.spacing))
+    hi = int(round((POS_EXTENT - grid.x0) / grid.spacing))
+    columns = []
+    for s in [2.0 ** j for j in range(SCALE_LOG2_MAX, cfg.scale_log2_min - 1, -1)
+              if 4 * grid.spacing <= 2.0 ** j]:
+        step = round(s / grid.spacing)
+        r = lo % step
+        slots = np.arange(lo, hi + 1, step) // step
+        for mxi in range(-cfg.m_xi_max, cfg.m_xi_max + 1):
+            xi = [(gamma[j] * mxi + beta[j]) / s for j in range(3)]
+            try:
+                bins, _ = band_bins_one(grid, s, xi[0], cfg.eps)
+                if total <= 0 or power[bins].sum() / total < 1e-12:
+                    continue
+                band_bins_one(grid, s, xi[1], cfg.eps)
+                band_bins_one(grid, s, xi[2], cfg.eps)
+            except ResolutionError:
+                continue
+            g1 = coefficient_profile_column(fh1, grid, s, xi[0], cfg.eps,
+                                            table, step, r)
+            columns.append((s, step, r, slots, xi[1], xi[2], g1[slots]))
+    return columns
+
+
+def lattice_evaluate_columns(columns, cfg, grid: Grid, table,
+                             f2: GridFunction, mask: np.ndarray):
+    """(lam, aligned f3) of one row over `lattice_columns`."""
+    fh2 = np.fft.fft(f2.values)
+    spectrum = np.zeros(grid.n, dtype=complex)
+    for s, step, r, slots, xi2, xi3, g1 in columns:
+        g2 = coefficient_profile_column(fh2, grid, s, xi2, cfg.eps, table,
+                                        step, r)
+        weights = np.zeros(g2.size, dtype=complex)
+        weights[slots] = np.conj(g1 * g2[slots]) * s ** -0.5
+        bins, values = synthesis_profile_column(weights, grid, s, xi3, cfg.eps,
+                                                table, r)
+        spectrum[bins] += values
+    w_total = np.fft.ifft(spectrum) * (grid.n / grid.length)
+    mag = np.abs(w_total)
+    lam = float(mag[mask].sum() * grid.spacing)
+    f3 = np.zeros(grid.n, dtype=complex)
+    nz = mask & (mag > 0)
+    f3[nz] = w_total[nz] / mag[nz]
+    f3[mask & ~ (mag > 0)] = 1.0
+    return lam, GridFunction(grid, f3)
+
+
 # the direct oracle one offset at a time on the whole grid, then paired with
 # f3; the engine's prune test with one full-length band mask per column, and
 # its row with one inverse FFT per column
 
+#: sample points per offset block of `bht_direct_loop` (offsets x grid size)
+LOOP_BLOCK = 2 ** 14
+
+
 def bht_direct_loop(f1: GridFunction, f2: GridFunction, b, h_cut: float,
                     t_max: float | None = None) -> GridFunction:
+    """Every offset from h_cut to t_max on the whole grid, in blocks of
+    offsets with one 2-D interpolation each, the rows added one at a time
+    in ascending offset order."""
     grid = f1.grid
     dt = grid.spacing
     if t_max is None:
@@ -313,16 +429,17 @@ def bht_direct_loop(f1: GridFunction, f2: GridFunction, b, h_cut: float,
         return re + 1j * im
 
     i0 = int(math.ceil(h_cut / dt - 0.5))
+    i1 = i0  # offsets i0 ... i1 - 1 have t = (i + 1/2) dt <= t_max
+    while (i1 + 0.5) * dt <= t_max:
+        i1 += 1
     out = np.zeros(grid.n, dtype=complex)
-    i = i0
-    while True:
-        t = (i + 0.5) * dt
-        if t > t_max:
-            break
+    rows = max(1, LOOP_BLOCK // grid.n)
+    for lo in range(i0, i1, rows):
+        t = (np.arange(lo, min(lo + rows, i1)) + 0.5)[:, None] * dt
         plus = sample(f1, xs - b[0] * t) * sample(f2, xs - b[1] * t)
         minus = sample(f1, xs + b[0] * t) * sample(f2, xs + b[1] * t)
-        out += (plus - minus) * (dt / t)
-        i += 1
+        for row in (plus - minus) * (dt / t):
+            out += row
     return GridFunction(grid, out)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (band_energy_mask, coefficient_profile_full,
+                       lattice_columns, lattice_evaluate_columns,
                        lattice_evaluate_loop, sweep_family_per_row)
 from tflab import lab, timefreq
 from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, SET_FAMILIES,
@@ -17,7 +18,7 @@ from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, SET_FAMILIES,
                        suite_direction)
 from tflab.modelsum import coefficient_profile
 from tflab.osgood import InghamTable
-from tflab.packets import band_bins
+from tflab.packets import band_rows
 from tflab.sampling import Grid, GridFunction, lp_norm
 from tflab.timefreq import exceptional_sets
 
@@ -82,7 +83,7 @@ def test_engine_scales_fit_the_domain(table):
     f1 = _f1(cfg, grid)
     engine = _LatticeEngine(cfg, grid, table, f1)
     assert engine.scales == [4.0, 2.0, 1.0, 0.5]
-    assert engine.columns
+    assert engine.blocks
     f2, f3_set, _ = _family(cfg, 0.25, grid)
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
                                       c0=EXC_C0)
@@ -264,6 +265,23 @@ def test_tree_suite_runs():
 # ---------------------------------------------------------------------------
 # the engine's band prune against the full-length mask
 
+def _engine_columns(engine) -> list:
+    """The engine's kept columns in order, one (s, step, r, slots, xi2, xi3,
+    g1) per column, after checking the block layout: a block holds columns
+    of one scale, at most BLOCK_SAMPLES // m of them, and the blocks of a
+    scale are full but the last."""
+    columns = []
+    for i, (s, step, r, slots, xi2, xi3, g1) in enumerate(engine.blocks):
+        rows = max(1, lab.BLOCK_SAMPLES // (engine.grid.n // step))
+        last = (i + 1 == len(engine.blocks) or engine.blocks[i + 1][0] != s)
+        assert 0 < len(xi2) == len(xi3) == g1.shape[0] <= rows
+        assert last or len(xi2) == rows
+        assert g1.shape[1] == slots.size
+        columns += [(s, step, r, slots, x2, x3, g) for x2, x3, g in
+                    zip(xi2.tolist(), xi3.tolist(), g1)]
+    return columns
+
+
 def _prune_matches_mask(table, f1: GridFunction) -> dict:
     """Assert that the engine keeps, in order, the columns the closed-window
     mask keeps and whose three bands all resolve; return each column's mask
@@ -289,10 +307,12 @@ def _prune_matches_mask(table, f1: GridFunction) -> dict:
                 continue
             # the translates start at the sample x = -POS_EXTENT
             r = grid.index_of(-POS_EXTENT) % step
-            g1 = coefficient_profile(fh1, grid, s, xi[0], cfg.eps, table, step, r)
+            [g1] = coefficient_profile(fh1, grid, s, [xi[0]], cfg.eps, table,
+                                       step, r)
             kept.append((s, step, r, xi[1], xi[2], g1))
-    assert len(engine.columns) == len(kept)
-    for (s, step, r, slots, xi2, xi3, g1), k in zip(engine.columns, kept):
+    columns = _engine_columns(engine)
+    assert len(columns) == len(kept)
+    for (s, step, r, slots, xi2, xi3, g1), k in zip(columns, kept):
         assert (s, step, r, xi2, xi3) == k[:5]
         assert np.array_equal(g1, k[5][slots])
     return share
@@ -320,7 +340,7 @@ def test_engine_prune_sees_near_threshold_energy(table):
     spectrum[0] = 1.0
     edges = {}
     for (mxi, level), end in ((above, -1), (below, 0)):
-        bins, _ = band_bins(grid, 0.5, gamma1 * mxi / 0.5, cfg.eps)
+        bins = band_rows(grid, 0.5, gamma1 * mxi / 0.5, cfg.eps)[0]
         assert bins.size == 4
         edges[mxi] = bins
         spectrum[bins[end]] = np.sqrt(level)
@@ -360,10 +380,77 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     lam_ref, f3_ref, w_ref, synthesized_ref = lattice_evaluate_loop(
         engine, f1, f2, f3_major)
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
-    assert len(synthesized) == synthesized_ref
+    # one synthesis call per block, one weight row and slot-3 frequency per
+    # column
+    assert len(synthesized) == len(engine.blocks)
+    assert all(len(args[0]) == len(args[3]) for args in synthesized)
+    assert sum(len(args[3]) for args in synthesized) == synthesized_ref
     assert np.array_equal(f3.values == 0, f3_ref.values == 0)
     big = np.abs(w_ref) >= 1e-9 * np.abs(w_ref).max()
     assert np.all(np.abs(f3.values - f3_ref.values)[big] <= 1e-9)
+
+
+def _assert_blocks_match_columns(engine, f1, f2, mask):
+    """The engine's columns, lambda and f3 against the one-column engine of
+    `tests/reference.py`, byte for byte."""
+    cfg, grid, table = engine.cfg, engine.grid, engine.table
+    columns = lattice_columns(cfg, grid, table, f1)
+    got = _engine_columns(engine)
+    assert len(got) == len(columns)
+    for (s, step, r, slots, xi2, xi3, g1), ref in zip(got, columns):
+        assert (s, step, r) == ref[:3]
+        assert np.array_equal(slots, ref[3])
+        assert np.float64(xi2).tobytes() == np.float64(ref[4]).tobytes()
+        assert np.float64(xi3).tobytes() == np.float64(ref[5]).tobytes()
+        assert g1.tobytes() == ref[6].tobytes()
+    lam, f3 = engine.evaluate(f2, mask)
+    lam_ref, f3_ref = lattice_evaluate_columns(columns, cfg, grid, table, f2,
+                                               mask)
+    assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+    assert f3.values.tobytes() == f3_ref.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(theorem=st.sampled_from(["T1", "T3", "C15"]), log2n=st.integers(10, 12),
+       ratio=st.floats(2.0 ** -8, 1.0), m_xi_max=st.sampled_from([4, 16, 64]),
+       log2_block=st.sampled_from([6, 8, 14]),
+       eps=st.sampled_from([2.0 ** -4, 0.5]))
+def test_engine_blocks_match_column_engine(table, theorem, log2n, ratio,
+                                           m_xi_max, log2_block, eps):
+    # the blocks of a scale against one column at a time; a small block cap
+    # splits a scale's columns over several blocks (one per block at 2^6).
+    # At eps = 1/2 the slot-3 bands of neighbouring columns overlap (their
+    # centres are |gamma_3|/s = 0.41/s apart), so a block's spectra must
+    # add up bin by bin in column order
+    cfg = SweepConfig(theorem=theorem, ratios=(ratio,), grid_n=2 ** log2n,
+                      m_xi_max=m_xi_max, eps=eps)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
+    f1 = _f1(cfg, grid)
+    f2, f3_set, _ = _family(cfg, ratio, grid)
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+                                      c0=EXC_C0)
+    with mock.patch.object(lab, "BLOCK_SAMPLES", 2 ** log2_block):
+        engine = _LatticeEngine(cfg, grid, table, f1)
+        if theorem == "C15" and log2_block <= 8:
+            # s = 1/2 keeps 9 or more columns, m = 64 slots each
+            per_scale = [b[0] for b in engine.blocks]
+            assert max(map(per_scale.count, per_scale)) > 1
+        _assert_blocks_match_columns(engine, f1, f2, f3_major)
+
+
+def test_engine_blocks_match_column_engine_at_sweep_size(table):
+    # the C15 sweep's own size: its finer scales span two or three blocks at
+    # the default cap
+    cfg = SweepConfig(theorem="C15", ratios=(2.0 ** -10,))
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
+    f1 = _f1(cfg, grid)
+    engine = _LatticeEngine(cfg, grid, table, f1)
+    per_scale = [b[0] for b in engine.blocks]
+    assert max(map(per_scale.count, per_scale)) == 3
+    f2, f3_set, _ = _family(cfg, 2.0 ** -10, grid)
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+                                      c0=EXC_C0)
+    _assert_blocks_match_columns(engine, f1, f2, f3_major)
 
 
 @settings(max_examples=25, deadline=None)

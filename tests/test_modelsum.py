@@ -453,14 +453,14 @@ def test_profiles_match_bank(table_fine, wide_grid, wide_bank):
     # the translates of scale 1/2 on the grid, through that index
     step = round(0.5 / wide_grid.spacing)
     r, j = idx % step, idx // step
-    prof = coefficient_profile(fhat, wide_grid, 0.5, 2.0, 0.25,
-                               wide_bank.table, step, r)
+    [prof] = coefficient_profile(fhat, wide_grid, 0.5, [2.0], 0.25,
+                                 wide_bank.table, step, r)
     direct = wide_bank.coefficient(f, td)
     assert prof[j] == pytest.approx(direct, abs=1e-12)
     # synthesis: a unit weight at that translate reproduces the packet
     w = np.zeros(wide_grid.n // step, complex)
     w[j] = 1.0
-    bins, values = synthesis_profile(w, wide_grid, 0.5, 2.0, 0.25,
+    bins, values = synthesis_profile(w[None], wide_grid, 0.5, [2.0], 0.25,
                                      wide_bank.table, r)
     spec = np.zeros(wide_grid.n, complex)
     spec[bins] = values

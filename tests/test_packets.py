@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import types
 
@@ -11,13 +12,14 @@ from tflab.errors import GridMismatchError, ResolutionError
 from tflab.lab import random_collection, random_signal
 from tflab.modelsum import coefficient_profile, synthesis_profile
 from tflab.osgood import OsgoodParams
-from tflab.packets import (PacketBank, TopDatum, band_bins, canonical_packet,
-                           dedup_freqs, freq_window_for_scale, packet_hat,
+from tflab.packets import (PacketBank, TopDatum, band_rows, canonical_packet,
+                           dedup_freqs, freq_window_for_scale, packet_hats,
                            split_meanzero, split_truncate, xi_H, xi_lattice)
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
 
-from reference import (canonical_packet_full, coefficient_profile_full,
-                       dedup_freqs_loop, inner_product, synthesis_profile_full,
+from reference import (band_bins_one, canonical_packet_full,
+                       coefficient_profile_full, dedup_freqs_loop,
+                       inner_product, packet_hat_one, synthesis_profile_full,
                        xi_H_band)
 
 
@@ -37,7 +39,7 @@ def test_packet_norm_and_leakage(packet, grid):
     assert lp_norm(packet.samples, 2) == pytest.approx(1.0, abs=1e-6)
     hat = np.fft.fft(packet.samples.values)
     out = np.ones(grid.n, dtype=bool)
-    out[band_bins(grid, packet.datum.interval.length, packet.datum.xi,
+    out[band_rows(grid, packet.datum.interval.length, packet.datum.xi,
                   packet.epsilon)[0]] = False
     assert np.abs(hat[out]).max() <= 1e-8 * np.abs(hat).max()
 
@@ -93,9 +95,15 @@ def _outcome(fn, *args):
         return ResolutionError
 
 
-def synthesis(weights, g, *args):
-    """synthesis_profile's band spectrum, scattered and inverted: the synthesis."""
-    band = synthesis_profile(weights, g, *args)
+def profile(f_hat, g, scale, xi, *args):
+    """coefficient_profile's one-row case."""
+    return coefficient_profile(f_hat, g, scale, [xi], *args)[0]
+
+
+def synthesis(weights, g, scale, xi, *args):
+    """synthesis_profile's band spectrum of one row, scattered and inverted:
+    the synthesis."""
+    band = synthesis_profile(weights[None], g, scale, [xi], *args)
     spec = np.zeros(g.n, dtype=complex)
     spec[band[0]] = band[1]
     return np.fft.ifft(spec) * (g.n / g.length)
@@ -120,7 +128,7 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
     scale = 2.0 ** j
     # at stride 1 and offset 0 the profiles fold nothing and carry no phase
     # (the full-length builders return None where the profiles raise)
-    for a, b in ((_outcome(coefficient_profile, f_hat, g, scale, xi, eps,
+    for a, b in ((_outcome(profile, f_hat, g, scale, xi, eps,
                            table, 1, 0),
                   coefficient_profile_full(f_hat, g, scale, xi, eps, table)),
                  (_outcome(synthesis, weights, g, scale, xi, eps, table, 0),
@@ -133,16 +141,16 @@ def test_packet_hat_matches_full_length_builders(table, band, pos, seed):
 @settings(max_examples=300, deadline=None)
 @given(band=packet_bands())
 def test_packet_hat_vanishes_at_half_the_band_argument(table, band):
-    # the window spectrum is supported in [-1/2, 1/2]: band_bins keeps
+    # the window spectrum is supported in [-1/2, 1/2]: band_rows keeps
     # exactly the fftfreq indices with |(s/eps)(zeta - xi)| < 1/2, and the
     # full-length spectrum is exactly zero off them
     j, eps, xi = band
     g = SPEC_GRID
     try:
-        bins, arg = band_bins(g, 2.0 ** j, xi, eps)
-        hat_bins, values = packet_hat(g, 2.0 ** j, xi, eps, table)
+        hat_bins, values, _ = packet_hats(g, 2.0 ** j, xi, eps, table)
     except ResolutionError:
         return
+    bins = band_rows(g, 2.0 ** j, xi, eps)[0]
     lam_s = 2.0 ** j / eps
     full_arg = lam_s * (g.freqs() - xi)
     assert np.array_equal(np.sort(bins),
@@ -150,6 +158,77 @@ def test_packet_hat_vanishes_at_half_the_band_argument(table, band):
     assert np.array_equal(hat_bins, bins)
     assert np.any(values != 0.0)
     assert np.all(table.spectrum_at(full_arg[np.abs(full_arg) >= 0.5]) == 0.0)
+
+
+@st.composite
+def band_batches(draw):
+    """(scale, eps, frequencies) on SPEC_GRID: eps free or at, just under or
+    just over the 4-bin width, and each frequency free or at, just inside or
+    just outside either Nyquist edge."""
+    g = SPEC_GRID
+    scale = 2.0 ** draw(st.integers(-3, 2))
+    four = 4 * scale / g.length
+    eps = draw(st.one_of(st.floats(1.0 / 64, 1.0), st.sampled_from(
+        [e for e in (four, np.nextafter(four, 0), np.nextafter(four, 2))
+         if e <= 1])))
+    edge = g.nyquist - eps / (2 * scale)
+    edges = [sign * e for sign in (-1.0, 1.0)
+             for e in (edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf))]
+    xis = draw(st.lists(st.one_of(st.floats(-g.nyquist - 1, g.nyquist + 1),
+                                  st.sampled_from(edges)),
+                        min_size=1, max_size=12))
+    return scale, float(eps), [float(x) for x in xis]
+
+
+def _rows(counts):
+    ends = np.cumsum(counts)
+    return [slice(e - c, e) for c, e in zip(counts.tolist(), ends.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=band_batches())
+def test_band_rows_match_the_one_frequency_rule(table, batch):
+    # each row of the batched band rule and packet spectrum against the
+    # one-frequency rule: the same bins, arg bits and unresolvable flags,
+    # and the same value bits, so the same norm; one-row calls too
+    scale, eps, xis = batch
+    g = SPEC_GRID
+    bins, arg, counts, fault = band_rows(g, scale, xis, eps)
+    first_error, ok = None, []
+    for i, (xi, row) in enumerate(zip(xis, _rows(counts))):
+        try:
+            b, a = band_bins_one(g, scale, xi, eps)
+        except ResolutionError as exc:
+            assert fault[i] == (1 if "Nyquist" in str(exc) else 2)
+            assert counts[i] == 0
+            with pytest.raises(ResolutionError, match=re.escape(str(exc))):
+                packet_hats(g, scale, xi, eps, table)
+            first_error = first_error or str(exc)
+            continue
+        assert fault[i] == 0
+        assert bins[row].tobytes() == b.tobytes()
+        assert arg[row].tobytes() == a.tobytes()
+        one = band_rows(g, scale, xi, eps)
+        assert one[0].tobytes() == b.tobytes()
+        assert one[1].tobytes() == a.tobytes()
+        ok.append(i)
+    if first_error is not None:
+        with pytest.raises(ResolutionError, match=re.escape(first_error)):
+            packet_hats(g, scale, xis, eps, table)
+    if not ok:
+        return
+    ref = [_outcome(packet_hat_one, g, scale, xis[i], eps, table) for i in ok]
+    if ResolutionError in ref:
+        with pytest.raises(ResolutionError, match="misses every"):
+            packet_hats(g, scale, [xis[i] for i in ok], eps, table)
+        return
+    hb, hv, hc = packet_hats(g, scale, [xis[i] for i in ok], eps, table)
+    for i, row, (b, v) in zip(ok, _rows(hc), ref):
+        assert hb[row].tobytes() == b.tobytes()
+        assert hv[row].tobytes() == v.tobytes()
+        one = packet_hats(g, scale, xis[i], eps, table)
+        assert one[0].tobytes() == b.tobytes()
+        assert one[1].tobytes() == v.tobytes()
 
 
 @st.composite
@@ -204,7 +283,7 @@ def test_folded_profiles_match_full_length_builders(table, draw, pos, seed):
     weights = rng.normal(size=m) + 1j * rng.normal(size=m)
     spread = np.zeros(g.n, dtype=complex)
     spread[at] = weights
-    a = _outcome(coefficient_profile, f_hat, g, scale, xi, eps, table, step, r)
+    a = _outcome(profile, f_hat, g, scale, xi, eps, table, step, r)
     b = coefficient_profile_full(f_hat, g, scale, xi, eps, table)
     assert (a is ResolutionError) == (b is None) == (old is ResolutionError)
     if b is not None:
