@@ -65,11 +65,11 @@ def _cmd_ingham(args) -> int:
 def _cmd_mfcz(args) -> int:
     f = read_gridfunction_csv(args.signal)
     tops = _parse_tops(args.tops)
-    params = OsgoodParams(args.lam_family)
+    params = OsgoodParams(1.0)
     if args.k_sweep:
-        table = build_ingham(params, grid_n=args.ingham_grid_n)
-        rep = mfcz_k_sweep(f, tops, params, table, range(1, args.k + 1),
-                           args.lam, args.p, eps=args.eps, big_c=args.big_c)
+        table = build_ingham(params, grid_n=2 ** 12)
+        rep = mfcz_k_sweep(f, tops, table, range(1, args.k + 1), args.lam, args.p,
+                           eps=0.25 if args.eps is None else args.eps, big_c=args.big_c)
         for name in sorted(rep.stats):
             print(f"{name} = {rep.stats[name]:.6g}")
         print(f"decay slope {rep.stats['slope']:.3f}: "
@@ -82,7 +82,7 @@ def _cmd_mfcz(args) -> int:
                     w.writerow([k, name, repr(value), repr(fitted)])
         return 0 if rep.passed else 1
     split = mfcz_decompose(f, tops, args.lam, args.k, args.p, params,
-                           eps=args.eps, big_c=args.big_c)
+                           big_c=args.big_c)
     rec = split.reconstruction()
     err = float(np.abs(rec.values - f.values).max())
     print(f"{len(split.q_intervals)} intervals, tripled overlap "
@@ -158,10 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.25)
+    p.add_argument("--eps", type=float, help="k-sweep packets' band fraction (0.25)")
     p.add_argument("--big-c", type=float, default=1.0)
-    p.add_argument("--lam-family", type=float, default=1.0)
-    p.add_argument("--ingham-grid-n", type=int, default=2 ** 12)
     p.add_argument("--k-sweep", action="store_true",
                    help="run k = 1..K and fit the decay slope")
     p.add_argument("--out-csv")
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, nargs=3)
     p.add_argument("--set-family", choices=lab.SET_FAMILIES,
                    default="interval")
-    p.add_argument("--ratios", type=float, nargs="*")
+    p.add_argument("--ratios", type=float, nargs="+")
     p.add_argument("--dyadic", type=int, default=10,
                    help="use ratios 2^-1 .. 2^-N")
     p.add_argument("--grid-n", type=int, default=2 ** 15)
@@ -200,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "mfcz" and args.out_csv and not args.k_sweep:
-        ap.error("mfcz --out-csv writes the k-sweep table; it needs --k-sweep")
+    if args.command == "mfcz" and not args.k_sweep:
+        for flag, value in (("--out-csv", args.out_csv), ("--eps", args.eps)):
+            if value is not None:
+                ap.error(f"mfcz {flag} serves only the k-sweep; it needs --k-sweep")
     try:
         return args.func(args)
-    except (LabError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LabError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

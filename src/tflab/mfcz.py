@@ -127,8 +127,7 @@ def _one_blas_thread():
 
 
 def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
-                   p: float, params: OsgoodParams, *, eps: float = 0.25,
-                   big_c: float = 1.0) -> MfczSplit:
+                   p: float, params: OsgoodParams, *, big_c: float = 1.0) -> MfczSplit:
     """Split f = g + sum b_Q adapted to the top data at overlap level k.
 
     K = big_c * k.  The full-strength multiplier is big_c = 1000/a for
@@ -144,10 +143,8 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if not (math.isfinite(big_c) and big_c > 0):
         raise ValueError(f"big_c must be finite and positive, got {big_c}")
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    if not 1 <= k <= 1023:  # 2^k must stay a finite float
+        raise ValueError(f"k must lie in [1, 1023], got {k}")
     grid = f.grid
     bigk = big_c * k
     with np.errstate(over="ignore"):
@@ -187,7 +184,7 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
                 raise ResolutionError(f"3Q = [{tq.lo}, {tq.hi}) leaves the grid domain")
         # Xi_Q is the union of one set per live top; Q's whose sets agree
         # share one union (one read-only array)
-        per_top = [xi_H(td, tqs, bigk, params, eps) for td in live_tops]
+        per_top = [xi_H(td, tqs, bigk, params) for td in live_tops]
         if live_tops:
             finest = 1.0 / (3.0 * uk * max(td.interval.length for td in live_tops))
         unions: dict[tuple[bytes, ...], np.ndarray] = {}
@@ -330,12 +327,12 @@ def sweep_diagnostics_rows(report: Report) -> list[tuple]:
     return rows
 
 
-def mfcz_k_sweep(f: GridFunction, tops: list[TopDatum], params: OsgoodParams,
-                 table: InghamTable, ks, lam: float, p: float, *,
-                 eps: float = 0.25, big_c: float = 1.0,
-                 levels: int = 4) -> Report:
+def mfcz_k_sweep(f: GridFunction, tops: list[TopDatum], table: InghamTable,
+                 ks, lam: float, p: float, *, eps: float = 0.25,
+                 big_c: float = 1.0, levels: int = 4) -> Report:
     """Runs the decomposition over a k-sweep and fits the decay of the sup statistic.
 
+    Decomposes with table.params and verifies with packets of band fraction eps.
     Passes when log(stat_sup) decreases log-linearly in k (negative LS slope).
     """
     if not 0 < eps <= 1:
@@ -347,7 +344,7 @@ def mfcz_k_sweep(f: GridFunction, tops: list[TopDatum], params: OsgoodParams,
     stats: dict[str, float] = {}
     values = []
     for k in ks:
-        split = mfcz_decompose(f, tops, lam, k, p, params, eps=eps, big_c=big_c)
+        split = mfcz_decompose(f, tops, lam, k, p, table.params, big_c=big_c)
         rep = verify_mfcz(split, tops, table, eps=eps, levels=levels)
         for name, v in rep.stats.items():
             stats[f"{name}_k{k}"] = v

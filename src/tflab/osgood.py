@@ -185,8 +185,8 @@ def build_ingham(params: OsgoodParams, k_max: int | None = None,
     """
     if grid_n < 16 or grid_n & (grid_n - 1):
         raise ValueError("grid_n must be a power of two >= 16")
-    if not (math.isfinite(x_max) and x_max > 0):
-        raise ValueError(f"x_max must be finite and positive, got {x_max}")
+    if not 0 < x_max <= 2.0 ** 1019:  # so grid.n >= 16 x_max stays a finite float
+        raise ValueError(f"x_max must lie in (0, 2^1019], got {x_max}")
     M = 4 * grid_n
     h0 = 4.0 / M
     widths = _box_widths(params, h0, k_max)

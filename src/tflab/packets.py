@@ -26,6 +26,8 @@ from .sampling import Band, DyadicInterval, Grid, GridFunction
 
 #: frequency-window constant (anything above 10 is admissible)
 R_CONST = 16.0
+#: band fraction of the Xi_Q windows (freq_window_for_scale needs <= 1/12)
+XI_EPS = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -351,17 +353,17 @@ def freq_window_for_scale(xi: float, inv_length: float, eps: float) -> Band:
     return best
 
 
-def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams,
-         eps: float) -> list[np.ndarray]:
+def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams) -> list[np.ndarray]:
     """Mean-zero frequency sets of the datum relative to each interval H of `bands`.
 
     For each H: {xi} together with the lattices of every dyadic subinterval J
     of I such that J is not inside 3H, H fits inside 3u(K)J, and
-    |J| <= 2^(10K)|H|.  Empty when H misses 3u(K)I or I lies inside 3H.
-    A lattice depends on the level of J alone, so each level's is built once,
-    and bands whose qualifying levels agree share one set (one read-only
-    array).  The level test runs over every (H, level, J) at once with the
-    float expressions of the per-band test, so each set keeps its bits.
+    |J| <= 2^(10K)|H|, in windows of band fraction XI_EPS.  Empty when H misses
+    3u(K)I or I lies inside 3H.  A lattice depends on the level of J alone, so
+    each level's is built once, and bands whose qualifying levels agree share
+    one set (one read-only array).  The level test runs over every (H, level,
+    J) at once with the float expressions of the per-band test, so each set
+    keeps its bits.
     """
     I = td.interval
     uk = params.u(K)
@@ -375,9 +377,6 @@ def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams,
             & ~((h3lo <= I.lo) & (I.hi <= h3hi)))
     if not live.any():
         return [np.array([]) for _ in range(hlo.size)]
-    # window selection assumes a small band fraction (the decomposition theory
-    # fixes eps <= 2^-8); clamp so the shifted-grid window always exists
-    eps = min(eps, 1.0 / 16.0)
     min_len = hlen / (3.0 * uk)
     cap = np.ldexp(hlen, int(min(10 * K, 60)))
     floor_len = min_len[live].min()
@@ -427,7 +426,7 @@ def xi_H(td: TopDatum, bands, K: float, params: OsgoodParams,
             freqs = [np.array([td.xi])]
             for level in np.flatnonzero(row).tolist():
                 if level not in lattices:
-                    omega = freq_window_for_scale(td.xi, 1.0 / lengths[level], eps)
+                    omega = freq_window_for_scale(td.xi, 1.0 / lengths[level], XI_EPS)
                     lattices[level] = xi_lattice(
                         DyadicInterval(I.scale - level, I.pos << level),
                         omega, K, params)

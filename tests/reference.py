@@ -15,8 +15,9 @@ from tflab.lab import (CANTOR_DEPTH, POS_EXTENT, SCALE_LOG2_MAX, _bump,
 from tflab.mfcz import RCOND
 from tflab.modelsum import _ramp
 from tflab.osgood import _box_widths
-from tflab.packets import (R_CONST, TopDatum, WavePacket, canonical_packet,
-                           dedup_freqs, freq_window_for_scale, xi_lattice)
+from tflab.packets import (R_CONST, XI_EPS, TopDatum, WavePacket,
+                           canonical_packet, dedup_freqs,
+                           freq_window_for_scale, xi_lattice)
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
                             _same_grid, dyadic_cover, grid_dyadic_scales,
                             lp_norm)
@@ -197,13 +198,11 @@ def riesz_project_window(h: GridFunction, window: Band, freqs: np.ndarray):
 # the frequency set of one datum relative to one interval H, with its level
 # test as a loop over the intervals J of each level
 
-def xi_H_band(td: TopDatum, H: Band, K: float, params,
-              eps: float) -> np.ndarray:
+def xi_H_band(td: TopDatum, H: Band, K: float, params) -> np.ndarray:
     I = td.interval
     uk = params.u(K)
     if not H.intersects(I.dilate(3.0 * uk)) or H.dilate(3.0).contains_band(I.band()):
         return np.array([])
-    eps = min(eps, 1.0 / 16.0)
     freqs = [np.array([td.xi])]
     min_len = H.length / (3.0 * uk)
     cap = math.ldexp(H.length, int(min(10 * K, 60)))
@@ -214,7 +213,7 @@ def xi_H_band(td: TopDatum, H: Band, K: float, params,
             break
         if length <= cap and _level_qualifies(I, level, H, uk):
             scale = I.scale - level
-            omega = freq_window_for_scale(td.xi, 1.0 / length, eps)
+            omega = freq_window_for_scale(td.xi, 1.0 / length, XI_EPS)
             freqs.append(xi_lattice(DyadicInterval(scale, I.pos << level),
                                     omega, K, params))
         level += 1

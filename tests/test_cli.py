@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tflab import timefreq
+from tflab import cli, mfcz, timefreq
 from tflab.cli import build_parser, main
-from tflab.sampling import (DyadicInterval, Grid, GridFunction,
+from tflab.sampling import (DyadicInterval, Grid, GridFunction, Report,
                             read_gridfunction_csv, write_gridfunction_csv)
 
 
@@ -96,11 +96,31 @@ def test_cli_sweep_singular_alpha(capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("x_max", ["inf", "0"])
+@pytest.mark.parametrize("x_max", ["inf", "0",
+                                   # 16 x_max samples overflow a float
+                                   "1e308", "1e307"])
 def test_cli_ingham_bad_x_max(capsys, x_max):
     assert main(["ingham", "--grid-n", "1024", "--x-max", x_max]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: x_max") and "Traceback" not in err
+
+
+def test_cli_ingham_kmax(capsys):
+    assert main(["ingham", "--grid-n", "1024", "--kmax", "3"]) == 0
+    assert capsys.readouterr().out.startswith("k_max=3 ")
+    assert main(["ingham", "--grid-n", "1024", "--kmax", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_max") and "Traceback" not in err
+
+
+def test_cli_out_of_memory(monkeypatch, capsys):
+    # an allocation that fails is an error line, never a traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "build_ingham", no_memory)
+    assert main(["ingham", "--grid-n", "1024"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("lam", ["inf", "nan"])
@@ -171,6 +191,15 @@ def test_cli_oracle_non_finite_sample(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_cli_sweep_ratios_need_a_value(capsys):
+    # an empty --ratios is a usage error, not the default dyadic ratios
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ratios", "--grid-n", "1024"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ratios: expected at least one argument" in err
+
+
 def test_cli_sweep_has_no_seed(capsys):
     # the sweep is deterministic; a --seed flag would change nothing
     with pytest.raises(SystemExit) as exc:
@@ -202,17 +231,80 @@ def test_cli_sweep_marks_rows_below_the_spacing(capsys):
                and "below the grid spacing 0.000976562]" in r for r in rows[10:])
 
 
-def test_cli_mfcz(tmp_path, grid, params):
-    rng = np.random.default_rng(0)
+def _mfcz_argv(tmp_path, grid, params, seed):
+    """mfcz arguments for conftest's mfcz_case at this seed."""
     from conftest import mfcz_case
-    f, tops, lam = mfcz_case(rng, grid, params)
+    f, tops, lam = mfcz_case(np.random.default_rng(seed), grid, params)
     sig = tmp_path / "sig.csv"
     write_gridfunction_csv(f, sig)
     td = tops[0]
     spec = f"{td.interval.scale},{td.interval.pos},{td.xi}"
-    code = main(["mfcz", "--signal", str(sig), f"--tops-file={spec}",
-                 "--lam", str(lam), "--k", "2"])
+    return ["mfcz", "--signal", str(sig), f"--tops-file={spec}",
+            "--lam", str(lam)]
+
+
+def test_cli_mfcz(tmp_path, grid, params):
+    code = main([*_mfcz_argv(tmp_path, grid, params, 0), "--k", "2"])
     assert code == 0
+
+
+def test_cli_mfcz_p(tmp_path, capsys, grid, params):
+    # the maximal function's exponent moves the decomposition; p = 2 is
+    # outside [1, 2)
+    argv = [*_mfcz_argv(tmp_path, grid, params, 0), "--k", "2"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--p", "1.5"]) == 0
+    assert capsys.readouterr().out != default
+    assert main([*argv, "--p", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p must lie in [1, 2)") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grows", [False, True])
+def test_cli_mfcz_k_sweep_writes_its_table(tmp_path, capsys, monkeypatch,
+                                           grid, params, grows):
+    # the README's k-sweep: one stat line per (statistic, k), the slope line,
+    # and one CSV row per (k, statistic) carrying the slope; the exit code
+    # follows the slope's sign (a sup statistic that grows with k fails)
+    if grows:
+        verify, calls = mfcz.verify_mfcz, []
+
+        def growing(*args, **kwargs):
+            rep = verify(*args, **kwargs)
+            calls.append(None)
+            return Report(True, {**rep.stats, "stat_sup": 10.0 ** len(calls)})
+        monkeypatch.setattr(mfcz, "verify_mfcz", growing)
+    out_csv = tmp_path / "diag.csv"
+    code = main([*_mfcz_argv(tmp_path, grid, params, 8), "--k", "3",
+                 "--k-sweep", "--out-csv", str(out_csv)])
+    lines = capsys.readouterr().out.splitlines()
+    stats = dict(line.split(" = ") for line in lines[:-1])
+    slope = float(stats.pop("slope"))
+    assert lines[-1] == (f"decay slope {slope:.3f}: "
+                         f"{'FAIL' if grows else 'pass'}")
+    assert (slope > 0) == grows and code == (1 if grows else 0)
+    header, *rows = out_csv.read_text().splitlines()
+    assert header == "k,statistic,value,fitted_constant"
+    rows = [r.split(",") for r in rows]
+    assert sorted(f"{name}_k{k}" for k, name, _, _ in rows) == sorted(stats)
+    assert {k for k, _, _, _ in rows} == {"1", "2", "3"}
+    assert all(f"{float(v):.6g}" == stats[f"{name}_k{k}"]
+               for k, name, v, _ in rows)
+    [fitted] = {r[3] for r in rows}  # the one slope, in every row
+    assert f"{float(fitted):.6g}" == f"{slope:.6g}"
+
+
+@pytest.mark.parametrize("eps", ["0.25", "-1"])
+def test_cli_mfcz_eps_needs_k_sweep(tmp_path, capsys, grid, params, eps):
+    # --eps sets only the k-sweep's verification packets; a lone
+    # decomposition uses the fixed band fraction packets.XI_EPS
+    with pytest.raises(SystemExit) as exc:
+        main([*_mfcz_argv(tmp_path, grid, params, 0), "--eps", eps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: tflab" in err and "--eps" in err and "--k-sweep" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, name, value", [
@@ -227,11 +319,15 @@ def test_cli_mfcz(tmp_path, grid, params):
     # or asks for 2.4e16 points
     (["--big-c", "1e306"], "big_c", "1e+306"),
     (["--big-c", "1e12"], "big_c", "1000000000000.0"),
-    # without --k-sweep, mfcz_decompose checks eps itself
-    (["--eps", "-1"], "eps", "-1.0"),
-    (["--eps", "0"], "eps", "0.0"),
-    (["--eps", "5"], "eps", "5.0"),
-    (["--eps", "nan"], "eps", "nan"),
+    # --eps sets only the k-sweep's packets, and mfcz_k_sweep checks it
+    # before any decomposition; the `=` form reads the same values
+    (["--k-sweep", "--eps", "-1"], "eps", "-1.0"),
+    (["--k-sweep", "--eps=0"], "eps", "0.0"),
+    (["--k-sweep", "--eps", "5"], "eps", "5.0"),
+    (["--k-sweep", "--eps=nan"], "eps", "nan"),
+    # 2^k must stay a finite float
+    (["--k", "1024"], "k", "1024"),
+    (["--k", "0"], "k", "0"),
 ])
 def test_cli_mfcz_bad_value(tmp_path, capsys, grid, params, argv, name, value):
     # the top 0,0,1.0 lies inside 9Q for a selected Q, so nothing downstream

@@ -232,12 +232,15 @@ def test_mfcz_validation(grid, params):
     for big_c in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="big_c"):
             mfcz_decompose(f, [], 1.0, 2, 1.0, params, big_c=big_c)
+    for k in (0, 1024):  # 2^1024 overflows a float
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 1023\], got"):
+            mfcz_decompose(f, [], 1.0, k, 1.0, params)
     for eps in (-1.0, 0.0, 5.0, math.nan):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got"):
-            mfcz_decompose(f, [], 1.0, 2, 1.0, params, eps=eps)
+            mfcz_k_sweep(f, [], None, [1, 2], 1.0, 1.0, eps=eps)
     for ks in ([], [1]):  # no slope to fit
         with pytest.raises(ValueError, match="at least two k values"):
-            mfcz_k_sweep(f, [], params, None, ks, 1.0, 1.0)
+            mfcz_k_sweep(f, [], None, ks, 1.0, 1.0)
 
 
 def test_mfcz_invariants_random_suite(grid, params):
@@ -346,7 +349,7 @@ def test_verify_excludes_exceptional_intervals(grid, params, table):
 def test_mfcz_k_sweep_slope(grid, params, table):
     rng = np.random.default_rng(8)
     f, tops, lam = mfcz_case(rng, grid, params)
-    rep = mfcz_k_sweep(f, tops, params, table, [1, 2, 3], lam, 1.0, levels=3)
+    rep = mfcz_k_sweep(f, tops, table, [1, 2, 3], lam, 1.0, levels=3)
     assert rep.passed
     assert rep.stats["slope"] < 0
     assert rep.stats["stat_sup_k1"] > rep.stats["stat_sup_k3"]
@@ -356,7 +359,7 @@ def test_sweep_diagnostics_rows(grid, params, table):
     from tflab.mfcz import sweep_diagnostics_rows
     rng = np.random.default_rng(9)
     f, tops, lam = mfcz_case(rng, grid, params)
-    rep = mfcz_k_sweep(f, tops, params, table, [1, 2], lam, 1.0, levels=2)
+    rep = mfcz_k_sweep(f, tops, table, [1, 2], lam, 1.0, levels=2)
     rows = sweep_diagnostics_rows(rep)
     assert rows and all(len(r) == 4 for r in rows)
     ks = {r[0] for r in rows}

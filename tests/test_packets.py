@@ -12,9 +12,10 @@ from tflab.errors import GridMismatchError, ResolutionError
 from tflab.lab import random_collection, random_signal
 from tflab.modelsum import coefficient_profile, synthesis_profile
 from tflab.osgood import OsgoodParams
-from tflab.packets import (PacketBank, TopDatum, band_rows, canonical_packet,
-                           dedup_freqs, freq_window_for_scale, packet_hats,
-                           split_meanzero, split_truncate, xi_H, xi_lattice)
+from tflab.packets import (XI_EPS, PacketBank, TopDatum, band_rows,
+                           canonical_packet, dedup_freqs,
+                           freq_window_for_scale, packet_hats, split_meanzero,
+                           split_truncate, xi_H, xi_lattice)
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction, lp_norm
 
 from reference import (band_bins_one, canonical_packet_full,
@@ -513,8 +514,8 @@ def test_xi_H_regimes(params):
         td, [Band(-1.0, -0.5),      # misses 9I
              Band(-300.0, -299.0),
              Band(0.0, 20.0)],      # I inside 3H
-        1.0, params, 0.25)
-    [near] = xi_H(td, [Band(4.25, 4.5)], 2.0, params, 0.25)  # inside 9I
+        1.0, params)
+    [near] = xi_H(td, [Band(4.25, 4.5)], 2.0, params)  # inside 9I
     assert empty.size == 0 and swallowed.size == 0
     assert 0 < far.size <= 3 * uk * math.log(uk) * 15
     uk2 = params.u(2.0)
@@ -523,12 +524,15 @@ def test_xi_H_regimes(params):
         assert np.all(np.diff(z) > 0)
         assert td.xi in z
         assert not z.flags.writeable  # bands with equal sets share the array
-    assert xi_H(td, [], 1.0, params, 0.25) == []
+    assert xi_H(td, [], 1.0, params) == []
+    # the band fraction of every decomposition so far: each Xi_Q's bits
+    # depend on it
+    assert XI_EPS == 1.0 / 16.0
 
 
 @st.composite
 def xi_H_draws(draw):
-    """(td, bands, K, params, eps): a top at scale -3..3 and bands at scales
+    """(td, bands, K, params): a top at scale -3..3 and bands at scales
     -9..2, some beside I, some far enough to miss 3u(K)I, some wide enough to
     swallow it, and repeats, so bands share sets.  Besides the real u, a
     dyadic u(K) puts the ends of 3u(K)J on the dyadic grid, where the
@@ -547,18 +551,17 @@ def xi_H_draws(draw):
         q = DyadicInterval(scale, math.floor(center / math.ldexp(1.0, scale)))
         bands.append(q.dilate(draw(st.sampled_from([1.0, 3.0]))))
     bands += bands[:draw(st.integers(0, 3))]
-    eps = draw(st.sampled_from([2.0 ** -8, 0.25, 1.0]))
-    return td, bands, K, params, eps
+    return td, bands, K, params
 
 
 @settings(max_examples=300, deadline=None)
 @given(xi_H_draws())
 def test_xi_H_matches_per_band_loop(draw):
-    td, bands, K, params, eps = draw
-    got = xi_H(td, bands, K, params, eps)
+    td, bands, K, params = draw
+    got = xi_H(td, bands, K, params)
     assert len(got) == len(bands)
     for z, H in zip(got, bands):
-        want = xi_H_band(td, H, K, params, eps)
+        want = xi_H_band(td, H, K, params)
         assert z.dtype == want.dtype and np.array_equal(z, want)
         assert z.tobytes() == want.tobytes()
 

@@ -1,13 +1,16 @@
 """Guard against dead options and dead API: every argument a function takes
 is read, every sweep config field is read by the code that runs a sweep and
-set by some run, and every name the package exports is reached by the
-package, the acceptance tests or the benchmark."""
+set by some run, every CLI option is passed by some test, and every name the
+package exports is reached by the package, the acceptance tests or the
+benchmark."""
 
+import argparse
 import ast
 import dataclasses
 from pathlib import Path
 
 import tflab
+from tflab.cli import build_parser
 from tflab.lab import SweepConfig
 
 SRC = Path(tflab.__file__).parent
@@ -113,6 +116,46 @@ def test_config_guard_flags_a_field_no_run_sets():
             "other(window_pad=1.0)\n")
     fields = ["theorem", "grid_n", "eps", "window_pad"]
     assert _unset_config_fields(fields, [text]) == ["window_pad"]
+
+
+def _unpassed_options(parser: argparse.ArgumentParser, sources) -> list[str]:
+    """`command --option` pairs whose option no string in the sources
+    passes, alone or as `--option=value` (one per line of a flags file)."""
+    passed = set()
+    for text in sources:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                for line in n.value.splitlines():
+                    passed.add(line.partition("=")[0])
+    out = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out += [f"{name} {opt}" for a in sub._actions
+                        for opt in a.option_strings
+                        if opt.startswith("--") and opt != "--help"
+                        and opt not in passed]
+    return out
+
+
+def test_every_cli_option_is_passed_by_a_test():
+    # an option that no test passes is either dead or untested
+    unpassed = _unpassed_options(
+        build_parser(),
+        (p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))))
+    assert not unpassed, f"CLI options no test passes: {unpassed}"
+
+
+def test_option_guard_flags_an_option_no_test_passes():
+    ap = argparse.ArgumentParser()
+    sub = ap.add_subparsers()
+    p = sub.add_parser("run")
+    for opt in ("--grid-n", "--eps", "--seed", "--lam-family"):
+        p.add_argument(opt)
+    text = ('main(["run", "--grid-n", "8"])\n'
+            'flags.write_text("--seed=1\\n--eps=0.5\\n")\n'
+            'main(["run", "--lam=2"])\n')
+    assert _unpassed_options(ap, [text]) == ["run --lam-family"]
 
 
 def _names_loaded(tree: ast.Module) -> set[str]:
