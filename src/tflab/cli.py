@@ -31,11 +31,15 @@ def _parse_tops(spec: str) -> list[TopDatum]:
     for part in spec.split(";"):
         if not part.strip():
             continue
-        scale, pos, xi = part.split(",")
-        xi = float(xi)
+        try:
+            scale, pos, xi = part.split(",")
+            interval, xi = DyadicInterval(int(scale), int(pos)), float(xi)
+        except ValueError:
+            raise ValueError(f"--tops-file wants parts 'scale,pos,xi' with integer "
+                             f"scale and pos; got {part!r}") from None
         if not math.isfinite(xi):
             raise ValueError(f"top frequency must be finite, got {xi}")
-        tops.append(TopDatum(DyadicInterval(int(scale), int(pos)), xi))
+        tops.append(TopDatum(interval, xi))
     return tops
 
 

@@ -25,7 +25,7 @@ from .packets import PacketBank, TopDatum, band_rows
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, Report,
                        lp_norm, maximal_function)
 from .timefreq import (BETA, Tree, Tritile, _SizeContext, exceptional_sets,
-                       gamma_from_beta, lacunary_frequency,
+                       gamma_from_beta, in_hexagon, lacunary_frequency,
                        thin_well_discretized, validate_tree)
 
 THEOREMS = ("T1", "T2", "T3", "C15")
@@ -48,12 +48,6 @@ EXC_C0 = 64.0
 #: bounds a block's arrays; every column's bits are the same at any size
 BLOCK_SAMPLES = 2 ** 14
 
-def in_hexagon(alpha) -> bool:
-    """True when the exponent triple lies in the admissible hexagon."""
-    a = tuple(alpha)
-    return (abs(sum(a) - 1.0) < 1e-9 and max(a) <= 1.0 + 1e-12
-            and min(a) >= -0.5 - 1e-12)
-
 
 def star(t: float) -> float:
     """The correction map (1 + t) log(e + t)^3."""
@@ -63,7 +57,7 @@ def star(t: float) -> float:
 @dataclass(frozen=True)
 class SweepConfig:
     theorem: str = "T1"
-    alpha: tuple[float, float, float] | None = None
+    alpha: tuple[float, float, float] | None = None  # None: the theorem's own
     set_family: str = "interval"        # one of SET_FAMILIES
     ratios: tuple[float, ...] = tuple(2.0 ** -j for j in range(1, 11))
     grid_n: int = 2 ** 15
@@ -93,21 +87,19 @@ class SweepConfig:
         if self.oracle_n < 2 or self.oracle_n & (self.oracle_n - 1):
             raise ValueError(
                 f"oracle_n must be a power of two >= 2, got {self.oracle_n}")
-        a1, a2, _ = alpha = self.resolved_alpha()
-        if not in_hexagon(alpha):
-            raise ValueError("alpha outside the admissible hexagon")
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", {
+                "T1": (0.5, 1.0, -0.5), "T2": (0.75, 0.75, -0.5),
+                "T3": (0.8, 0.5, -0.3), "C15": (0.75, 0.75, -0.5)}[self.theorem])
+        if not in_hexagon(self.alpha):
+            raise ValueError(f"alpha {tuple(self.alpha)} outside the admissible hexagon")
+        a1, a2, _ = self.alpha
         # the T2/T3/C15 families and bounds divide by a1 and 1 - a1, and
         # T2/C15 also by 1 - a2
         if self.theorem != "T1" and not 0 < a1 < 1:
             raise ValueError(f"{self.theorem} needs 0 < alpha1 < 1, got {a1}")
         if self.theorem in ("T2", "C15") and not a2 < 1:
             raise ValueError(f"{self.theorem} needs alpha2 < 1, got {a2}")
-
-    def resolved_alpha(self) -> tuple[float, float, float]:
-        if self.alpha is not None:
-            return self.alpha
-        return {"T1": (0.5, 1.0, -0.5), "T2": (0.75, 0.75, -0.5),
-                "T3": (0.8, 0.5, -0.3), "C15": (0.75, 0.75, -0.5)}[self.theorem]
 
 
 @dataclass
@@ -150,8 +142,7 @@ def _f1(cfg: SweepConfig, grid: Grid) -> GridFunction:
     """f1, the same function at every ratio of a sweep."""
     if cfg.theorem == "C15":
         return GridFunction(grid, grid.mask([(0.0, 1.0)]) + 0j)
-    a1 = cfg.resolved_alpha()[0]
-    return _bump(grid, 4.0, 2.0 if cfg.theorem == "T1" else 1.0 / a1)
+    return _bump(grid, 4.0, 2.0 if cfg.theorem == "T1" else 1.0 / cfg.alpha[0])
 
 
 def _family(cfg: SweepConfig, delta: float, grid: Grid):
@@ -170,7 +161,7 @@ def _family(cfg: SweepConfig, delta: float, grid: Grid):
 def _bound_rhs(cfg: SweepConfig, f1n: float, f2n: float, f2_measure: float,
                f3_measure: float) -> float:
     """Right side of the targeted growth law with constant one."""
-    a1, a2, a3 = cfg.resolved_alpha()
+    a1, a2, a3 = cfg.alpha
     if cfg.theorem == "T1":
         return f1n * f2_measure * f3_measure ** -0.5 * math.log(
             math.e + f3_measure / f2_measure)
@@ -290,7 +281,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per ratio; failed rows are marked in `status`, never dropped."""
     table = build_ingham(OsgoodParams(1.0), grid_n=cfg.ingham_grid_n)
     grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
-    alpha = cfg.resolved_alpha()
+    alpha = cfg.alpha
     f1 = _f1(cfg, grid)
     f1n = lp_norm(f1, 2.0 if cfg.theorem == "T1" else 1.0 / alpha[0])
     engine = _LatticeEngine(cfg, grid, table, f1)

@@ -152,8 +152,9 @@ def mfcz_decompose(f: GridFunction, tops: list[TopDatum], lam: float, k: int,
     # one xi_lattice spans 5/|J| at spacing 1/(3 u(K)|J|): 15 u(K) points
     if 15 * uk > grid.n:
         raise ResolutionError(
-            f"big_c too large for the grid: a frequency lattice of 15 u(K) = "
-            f"{15 * uk:.3g} points exceeds its {grid.n} samples; got {big_c}")
+            f"big_c and k too large for the grid: got {big_c} and {k}, so "
+            f"K = big_c*k = {bigk:.6g} and a frequency lattice of 15 u(K) = "
+            f"{15 * uk:.3g} points exceeds its {grid.n} samples")
 
     overlap = cover_count(grid, (td.interval.dilate(3.0 * uk) for td in tops))
     if overlap.max() > 2.0**k:

@@ -133,6 +133,9 @@ class InghamTable:
     def grid(self) -> Grid:
         """Spatial grid of the window samples: at least 8 samples per unit length."""
         n = 1 << max(4, math.ceil(math.log2(16 * self.x_max)))
+        if n > np.iinfo(np.intp).max:
+            raise ValueError(f"x_max = {self.x_max} needs 2^{n.bit_length() - 1} "
+                             f"window samples, more than numpy can index")
         return Grid(-self.x_max, self.x_max, n)
 
     @cached_property

@@ -296,24 +296,12 @@ def split_meanzero(phi: WavePacket, K: float, xi0: float,
 
 def dedup_freqs(freqs: np.ndarray, tol: float) -> np.ndarray:
     """Sorted frequencies with near-duplicates (within tol) merged."""
-    freqs = np.sort(np.asarray(freqs, dtype=float))
-    # a point more than tol above its predecessor is more than tol above the
-    # last kept point, so the greedy pass only runs inside runs of small gaps
-    near = np.flatnonzero(~(np.diff(freqs) > tol)) + 1
-    if near.size == 0:
-        return freqs
-    vals = freqs.tolist()
-    keep = np.ones(freqs.size, dtype=bool)
-    prev = -2
-    for j in near.tolist():
-        if j != prev + 1:  # a run starts: its first point is kept
-            last = vals[j - 1]
-        prev = j
-        if vals[j] - last > tol:
-            last = vals[j]
-        else:
-            keep[j] = False
-    return freqs[keep]
+    vals = np.sort(np.asarray(freqs, dtype=float)).tolist()
+    keep = vals[:1]
+    for z in vals[1:]:
+        if z - keep[-1] > tol:
+            keep.append(z)
+    return np.array(keep, dtype=float)
 
 
 def xi_lattice(J: DyadicInterval, omega: Band, K: float,

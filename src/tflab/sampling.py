@@ -283,19 +283,25 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
 def bands_inside(mask: np.ndarray, grid: Grid, lo, hi) -> np.ndarray:
     """Which bands [lo, hi) (float arrays) lie in the domain, with 1e-12 slack,
     and have every sample in `mask`; sample ranges as in ``Grid.slice_of``."""
-    c = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
+    return _inside(np.concatenate([[0], np.cumsum(mask, dtype=np.int64)]), grid, lo, hi)
+
+
+def _inside(count: np.ndarray, grid: Grid, lo, hi) -> np.ndarray:
+    """`bands_inside` against the mask's cumulative sample count (leading 0)."""
     i0 = np.clip(np.ceil((lo - grid.x0) / grid.spacing - 1e-9), 0, grid.n).astype(int)
     i1 = np.clip(np.ceil((hi - grid.x0) / grid.spacing - 1e-9), i0, grid.n).astype(int)
     return ((lo >= grid.x0 - 1e-12) & (hi <= grid.x1 + 1e-12)
-            & (i1 > i0) & (c[i1] - c[i0] == i1 - i0))
+            & (i1 > i0) & (count[i1] - count[i0] == i1 - i0))
 
 
 def _maximal_dyadic(mask, grid: Grid, dilation: float) -> list[DyadicInterval]:
     """Maximal dyadic Q in the domain with dilation*Q inside `mask`, by one array
-    pass per scale, coarse to fine.  Positions run from floor(x0/length) to
-    ceil(x1/length), so the parent ``pos >> 1`` of each is in the array of the
-    scale above; ``covered`` marks those inside an accepted interval."""
+    pass per scale, coarse to fine, against one cumulative count of the mask.
+    Positions run from floor(x0/length) to ceil(x1/length), so the parent
+    ``pos >> 1`` of each is in the array of the scale above; ``covered`` marks
+    those inside an accepted interval."""
     scales = grid_dyadic_scales(grid)
+    count = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
     out, covered = [], np.zeros(2, dtype=bool)  # the (empty) scale above them all
     base = math.floor(grid.x0 / math.ldexp(2.0, scales[-1]))
     for scale in reversed(scales):
@@ -305,7 +311,7 @@ def _maximal_dyadic(mask, grid: Grid, dilation: float) -> list[DyadicInterval]:
         lo, hi = pos * length, (pos + 1) * length
         center, half = 0.5 * (lo + hi), 0.5 * dilation * (hi - lo)
         accepted = ((pos >= cover.start) & (pos < cover.stop) & ~inherited
-                    & bands_inside(mask, grid, center - half, center + half))
+                    & _inside(count, grid, center - half, center + half))
         out.extend(DyadicInterval(scale, p) for p in pos[accepted].tolist())
         covered, base = inherited | accepted, int(pos[0])
     return sorted(out, key=lambda q: q.lo)

@@ -514,6 +514,13 @@ def forest_counting_norms(forest: Forest, grid: Grid, params: OsgoodParams,
 # ---------------------------------------------------------------------------
 # exceptional sets
 
+def in_hexagon(alpha) -> bool:
+    """True when the exponent triple lies in the admissible hexagon: it sums
+    to 1 (within 1e-9), and each alpha_j lies in [-1/2, 1] (exactly 1 at most)."""
+    a = tuple(alpha)
+    return abs(sum(a) - 1.0) < 1e-9 and max(a) <= 1.0 and min(a) >= -0.5 - 1e-12
+
+
 def exceptional_sets(h1: GridFunction, h2: GridFunction, f3: np.ndarray,
                      alpha, *, c0: float = 1.0,
                      h1_maximal: GridFunction | None = None
@@ -527,11 +534,9 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3: np.ndarray,
     given, must be `maximal_function(h1, 1/a1)`: a sweep builds it once for
     the f1 all its rows share.
     """
-    a1, a2, a3 = alpha
-    if abs(a1 + a2 + a3 - 1.0) > 1e-9:
-        raise ValueError("alpha must sum to 1")
-    if not (0 <= a1 <= 1 and 0 <= a2 <= 1 and a3 >= -0.5):
-        raise ValueError("alpha outside the admissible range")
+    if not in_hexagon(alpha):
+        raise ValueError(f"alpha {tuple(alpha)} outside the admissible hexagon")
+    a1, a2, _ = alpha
     grid = h1.grid
     f3 = np.asarray(f3, dtype=bool)
     if f3.shape != (grid.n,):
@@ -555,8 +560,8 @@ def exceptional_sets(h1: GridFunction, h2: GridFunction, f3: np.ndarray,
         for m, base in maximal:
             if base > 0:
                 mask |= m > c * base
-        closure = grid.mask((q.dilate(3.0).lo, q.dilate(3.0).hi)
-                            for q in maximal_dyadic_intervals(mask, grid))
+        closure = grid.mask((b.lo, b.hi) for b in (
+            q.dilate(3.0) for q in maximal_dyadic_intervals(mask, grid)))
         major = f3 & ~closure
         if 4 * np.count_nonzero(major) >= count:
             return mask, closure, major

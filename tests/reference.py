@@ -461,7 +461,7 @@ def band_energy_mask(freqs: np.ndarray, power: np.ndarray, xi: float,
 
 def sweep_family_per_row(cfg, delta: float, grid: Grid):
     """(f1, f2, F3 mask, F2 mask) of one sweep row, f1 rebuilt at every ratio."""
-    a1 = cfg.resolved_alpha()[0]
+    a1 = cfg.alpha[0]
     if cfg.set_family == "cantor":
         scale = 1.5 ** CANTOR_DEPTH
         f2_set = grid.mask(cantor_intervals(0.0, min(delta * scale, 2.0),

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tflab import cli, mfcz, timefreq
+from tflab import cli, lab, mfcz, timefreq
 from tflab.cli import build_parser, main
 from tflab.sampling import (DyadicInterval, Grid, GridFunction, Report,
                             read_gridfunction_csv, write_gridfunction_csv)
@@ -96,9 +96,32 @@ def test_cli_sweep_singular_alpha(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "T1", "--alpha", "-0.25", "0.75", "0.5"],
+    ["--theorem", "T3", "--alpha", "0.8", "-0.3", "0.5"],
+])
+def test_cli_sweep_runs_a_negative_alpha(capsys, argv):
+    # an alpha_j <= 0 leaves its function's level set out of the exceptional set
+    assert main(["sweep", *argv, "--dyadic", "3", "--grid-n", "4096"]) == 0
+    assert capsys.readouterr().out.count("[ok]") == 3
+
+
+def test_cli_sweep_alpha_above_one(capsys, monkeypatch):
+    # the hexagon's upper bound is exact, and the config checks it before
+    # any table is built
+    monkeypatch.setattr(lab, "build_ingham",
+                        lambda *a, **k: pytest.fail("table built"))
+    assert main(["sweep", "--theorem", "T1", "--alpha", "1.0000000000001", "0",
+                 "-0.0000000000001", "--dyadic", "3", "--grid-n", "4096"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha (1.0000000000001, 0.0, -1e-13) outside")
+
+
 @pytest.mark.parametrize("x_max", ["inf", "0",
                                    # 16 x_max samples overflow a float
-                                   "1e308", "1e307"])
+                                   "1e308", "1e307",
+                                   # more window samples than numpy can index
+                                   "1e300", "1e30", "1e19"])
 def test_cli_ingham_bad_x_max(capsys, x_max):
     assert main(["ingham", "--grid-n", "1024", "--x-max", x_max]) == 1
     err = capsys.readouterr().err
@@ -328,6 +351,11 @@ def test_cli_mfcz_eps_needs_k_sweep(tmp_path, capsys, grid, params, eps):
     # 2^k must stay a finite float
     (["--k", "1024"], "k", "1024"),
     (["--k", "0"], "k", "0"),
+    # K = big_c*k, not the default big_c alone, outgrows the grid
+    (["--k", "1023"], "big_c and k", "1.0 and 1023"),
+    # each top reads scale,pos,xi
+    (["--tops-file=1,2"], "--tops-file", "'1,2'"),
+    (["--tops-file=a,b,c"], "--tops-file", "'a,b,c'"),
 ])
 def test_cli_mfcz_bad_value(tmp_path, capsys, grid, params, argv, name, value):
     # the top 0,0,1.0 lies inside 9Q for a selected Q, so nothing downstream

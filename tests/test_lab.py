@@ -37,6 +37,41 @@ def test_in_hexagon():
     assert in_hexagon((1.0 / 3,) * 3)
     assert not in_hexagon((1.2, 0.3, -0.5))
     assert not in_hexagon((0.9, 0.7, -0.6))
+    # the upper bound is exact: one ulp above 1 is outside
+    assert in_hexagon((1.0, 0.0, 0.0))
+    assert not in_hexagon((math.nextafter(1.0, 2.0), 0.0, -2.0 ** -52))
+
+
+# hexagon edges, their float neighbours, and negative exponents
+_ALPHA_EDGES = [1.0, math.nextafter(1.0, 2.0), 1.0 + 4 * 2.0 ** -52, 0.0,
+                -0.25, -0.5, -0.5 - 1e-12, -0.5 - 1e-11, 1e-300]
+
+
+@st.composite
+def alpha_triples(draw):
+    """(a, b, 1 - a - b) in a random order, a and b edges or any reals."""
+    part = st.sampled_from(_ALPHA_EDGES) | st.floats(-0.75, 1.25)
+    a, b = draw(part), draw(part)
+    triple = (a, b, 1.0 - a - b)
+    return tuple(triple[i] for i in draw(st.permutations(range(3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha_triples())
+def test_one_alpha_rule(alpha):
+    # a T1 sweep config and the exceptional sets accept exactly the hexagon
+    grid = Grid(-4.0, 4.0, 64)
+    h1 = GridFunction(grid, grid.mask([(-1.0, 1.0)]) + 0j)
+    h2 = GridFunction(grid, grid.mask([(0.0, 0.5)]) + 0j)
+    f3 = grid.mask([(0.0, 2.0)])
+    for build in (lambda: SweepConfig(theorem="T1", alpha=alpha),
+                  lambda: exceptional_sets(h1, h2, f3, alpha)):
+        try:
+            build()
+        except ValueError as exc:
+            assert not in_hexagon(alpha) and f"alpha {alpha} " in str(exc)
+        else:
+            assert in_hexagon(alpha)
 
 
 def test_sweep_config_validation():
@@ -53,7 +88,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="fits the domain"):
         SweepConfig(ratios=(DOMAIN / 2 * 1.5, 1.0))
     assert SweepConfig(ratios=(DOMAIN / 2,)).ratios == (DOMAIN / 2,)
-    assert SweepConfig(theorem="C15").resolved_alpha() == (0.75, 0.75, -0.5)
+    assert SweepConfig(theorem="C15").alpha == (0.75, 0.75, -0.5)
     # T1 and T3 divide by neither alpha2 nor 1 - alpha2
     assert SweepConfig(theorem="T3", alpha=(0.5, 1.0, -0.5)).alpha[1] == 1.0
     assert SweepConfig(eps=1.0).eps == 1.0
@@ -85,7 +120,7 @@ def test_engine_scales_fit_the_domain(table):
     assert engine.scales == [4.0, 2.0, 1.0, 0.5]
     assert engine.blocks
     f2, f3_set, _ = _family(cfg, 0.25, grid)
-    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                       c0=EXC_C0)
     lam, _ = engine.evaluate(f2, f3_major)
     lam_ref = lattice_evaluate_loop(engine, f1, f2, f3_major)[0]
@@ -246,7 +281,7 @@ def test_bound_rhs_reads_grid_measures(theorem, set_family, log2n, data):
                     grid_n=grid.n)
     [row] = run_sweep(cfg)
     f1 = _f1(cfg, grid)
-    f1n = lp_norm(f1, 2.0 if theorem == "T1" else 1.0 / cfg.resolved_alpha()[0])
+    f1n = lp_norm(f1, 2.0 if theorem == "T1" else 1.0 / cfg.alpha[0])
     f2, f3_set, f2_set = _family(cfg, delta, grid)
     rhs = _bound_rhs(cfg, f1n, lp_norm(f2, 2.0),
                      np.count_nonzero(f2_set) * grid.spacing,
@@ -367,7 +402,7 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     f1 = _f1(cfg, grid)
     engine = _LatticeEngine(cfg, grid, table, f1)
     f2, f3_set, _ = _family(cfg, ratio, grid)
-    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                       c0=EXC_C0)
     synthesis_profile, synthesized = lab.synthesis_profile, []
 
@@ -427,7 +462,7 @@ def test_engine_blocks_match_column_engine(table, theorem, log2n, ratio,
     grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
     f1 = _f1(cfg, grid)
     f2, f3_set, _ = _family(cfg, ratio, grid)
-    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                       c0=EXC_C0)
     with mock.patch.object(lab, "BLOCK_SAMPLES", 2 ** log2_block):
         engine = _LatticeEngine(cfg, grid, table, f1)
@@ -448,7 +483,7 @@ def test_engine_blocks_match_column_engine_at_sweep_size(table):
     per_scale = [b[0] for b in engine.blocks]
     assert max(map(per_scale.count, per_scale)) == 3
     f2, f3_set, _ = _family(cfg, 2.0 ** -10, grid)
-    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                       c0=EXC_C0)
     _assert_blocks_match_columns(engine, f1, f2, f3_major)
 
@@ -469,7 +504,7 @@ def test_engine_rows_do_not_depend_on_order(table, theorem, log2n, ratios,
     shared = _LatticeEngine(cfg, grid, table, f1)
     for ratio in ratios:
         f2, f3_set, _ = _family(cfg, ratio, grid)
-        _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.resolved_alpha(),
+        _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                           c0=EXC_C0)
         lam, f3 = shared.evaluate(f2, f3_major)
         lam_fresh, f3_fresh = _LatticeEngine(cfg, grid, table, f1).evaluate(

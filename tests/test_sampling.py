@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tflab.errors import GridMismatchError
 from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
-                            cover_count, local_norm, lp_norm,
+                            cover_count, grid_dyadic_scales, local_norm, lp_norm,
                             maximal_dyadic_intervals, maximal_function,
                             read_gridfunction_csv, superlevel_decompose,
                             write_gridfunction_csv)
@@ -289,6 +289,20 @@ def test_maximal_dyadic_matches_loop(case):
         maximal_dyadic_intervals_loop(mask, grid)
     g = GridFunction(grid, np.where(mask, 2.0, 0.0) + 0j)
     assert superlevel_decompose(g, 1.0) == superlevel_decompose_loop(g, 1.0)
+
+
+def test_maximal_dyadic_counts_its_mask_once(monkeypatch):
+    # one cumulative count serves all 16 scales of a 2^15-sample grid
+    grid = Grid(-16.0, 16.0, 2 ** 15)
+    mask = np.zeros(grid.n, dtype=bool)
+    mask[1000:9000] = mask[20000:20100] = True
+    cumsum, calls = np.cumsum, []
+    monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+    assert len(grid_dyadic_scales(grid)) == 16
+    got = maximal_dyadic_intervals(mask, grid)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == maximal_dyadic_intervals_loop(mask, grid)
 
 
 COVER_GRID = Grid(-4.0, 4.0, 2 ** 6)
