@@ -100,9 +100,11 @@ def _cmd_tree_suite(args) -> int:
     rep = lab.run_tree_suite(args.seed, args.cases)
     for note in rep.notes:
         print(f"FAIL: {note}")
-    print(f"{int(rep.stats['cases'])} cases, "
-          f"{int(rep.stats['failures'])} failures"
-          + (f", counting constant {rep.stats.get('counting_c_max', 0):.3g}"))
+    stats = rep.stats
+    line = f"{int(stats['cases'])} cases, {int(stats['failures'])} failures"
+    if "counting_c_max" in stats:
+        line += f", counting constant {stats['counting_c_max']:.3g}"
+    print(line)
     return 0 if rep.passed else 1
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ResolutionError
 from .modelsum import coefficient_profile, lambda_direct, synthesis_profile
 from .osgood import InghamTable, OsgoodParams, build_ingham
-from .packets import PacketBank, TopDatum, band_rows
+from .packets import PacketBank, TopDatum, band_rows, packet_hats
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, Report,
                        lp_norm, maximal_function)
 from .timefreq import (BETA, Tree, Tritile, _SizeContext, exceptional_sets,
@@ -190,15 +190,14 @@ class _LatticeEngine:
     from the origin; they are the slots of its folded profiles, of size
     m = n/step.  The kept columns of a scale share s, step, r and the slots,
     so they run in blocks of at most BLOCK_SAMPLES // m columns, in frequency
-    order: `blocks` holds (s, step, r, slots, xi2, xi3, g1) per block, with
-    one entry of xi2 and xi3 and one row of g1 per column.
+    order: `blocks` holds (s, step, r, slots, band2, band3, g1) per block,
+    one row of g1 and of the slot-2 and slot-3 `packet_hats` forms per column.
     """
 
     def __init__(self, cfg: SweepConfig, grid: Grid, table: InghamTable,
                  f1: GridFunction):
         self.cfg = cfg
         self.grid = grid
-        self.table = table
         self.beta = np.asarray(BETA, dtype=float)
         self.gamma = gamma_from_beta(self.beta)
         self.scales = [2.0 ** j for j in
@@ -233,25 +232,24 @@ class _LatticeEngine:
             rows = max(1, BLOCK_SAMPLES // (grid.n // step))
             for a in range(0, kept.size, rows):
                 at = kept[a:a + rows]
-                g1 = coefficient_profile(fh1, grid, s, xi[0][at], cfg.eps,
-                                         table, step, r)
-                self.blocks.append((s, step, r, slots, xi[1][at], xi[2][at],
+                band1, band2, band3 = (packet_hats(grid, s, x[at], cfg.eps,
+                                                   table) for x in xi)
+                g1 = coefficient_profile(fh1, grid, band1, step, r)
+                self.blocks.append((s, step, r, slots, band2, band3,
                                     g1[:, slots]))
 
     def evaluate(self, f2: GridFunction,
                  mask: np.ndarray) -> tuple[float, GridFunction]:
         """(best |model sum|, aligned f3) over subindicators of the major set,
         given as its sample mask."""
-        grid, cfg = self.grid, self.cfg
+        grid = self.grid
         fh2 = np.fft.fft(f2.values)
         spectrum = np.zeros(grid.n, dtype=complex)  # of the slot-3 synthesis
-        for s, step, r, slots, xi2, xi3, g1 in self.blocks:
-            g2 = coefficient_profile(fh2, grid, s, xi2, cfg.eps, self.table,
-                                     step, r)
+        for s, step, r, slots, band2, band3, g1 in self.blocks:
+            g2 = coefficient_profile(fh2, grid, band2, step, r)
             weights = np.zeros(g2.shape, dtype=complex)
             weights[:, slots] = np.conj(g1 * g2[:, slots]) * s ** -0.5
-            bins, values = synthesis_profile(weights, grid, s, xi3, cfg.eps,
-                                             self.table, r)
+            bins, values = synthesis_profile(weights, grid, band3, r)
             # neighbouring columns' bands can overlap: add bin by bin, in
             # column order
             np.add.at(spectrum, bins, values)

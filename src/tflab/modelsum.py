@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .packets import PacketBank, packet_hats
+from .packets import PacketBank
 from .sampling import (Band, DyadicInterval, Grid, GridFunction, _same_grid,
                        dyadic_log2)
 from .timefreq import Tritile, check_well_discretized
@@ -257,8 +257,8 @@ def lambda_direct(f1: GridFunction, f2: GridFunction, f3: GridFunction,
 # with m = n / step.  Bins k and k + m carry the same phase at that stride,
 # so folding a spectrum modulo m and transforming at size m gives those
 # samples exactly (the aliasing identity behind pruned FFTs).  Both profiles
-# take a block of columns of one scale, one row per frequency, and compute
-# each row with the one-column expressions.
+# take a block of columns of one scale as its `packet_hats` band form, one row
+# per frequency, and compute each row with the one-column expressions.
 
 def _ramp(bins: np.ndarray, r: int, n: int) -> np.ndarray:
     """e^{2 pi i k r / n} at the bins k, with k r reduced modulo n exactly."""
@@ -270,20 +270,20 @@ def _row_slots(counts: np.ndarray, bins: np.ndarray, m: int) -> np.ndarray:
     return np.repeat(np.arange(counts.size) * m, counts) + bins % m
 
 
-def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi,
-                        eps: float, table, step: int, r: int) -> np.ndarray:
+def coefficient_profile(f_hat: np.ndarray, grid: Grid, band, step: int,
+                        r: int) -> np.ndarray:
     """<f, packet centered at x0 + (r + step j) h> for j = 0 ... n/step - 1,
-    one row per frequency of `xi`: an array of shape (len(xi), n/step).
+    one row per packet of `band`, the (bins, values, counts) of `packet_hats`
+    at one scale: an array of shape (rows, n/step).
 
     f_hat must be fft(f.values) and step must divide n.  Each row's band
     bins of f_hat conj(hat) e^{2 pi i k r/n} are folded modulo m = n/step
     (one bincount over the block, keyed by row and slot, so each slot adds
     its row's terms in their order) and inverted by one FFT of size m per
-    row.  An unresolvable band raises ResolutionError (`packet_hats`).
-    Canonical packets are exact translates of each other, so the
+    row.  Canonical packets are exact translates of each other, so the
     coefficient map is a correlation.
     """
-    bins, hat, counts = packet_hats(grid, scale, xi, eps, table)
+    bins, hat, counts = band
     m = grid.n // step
     size = counts.size * m
     # <f, p_c> = (1/L) sum_k F_k conj(H_k) e^{2 pi i zeta_k (c - x0)}
@@ -295,20 +295,19 @@ def coefficient_profile(f_hat: np.ndarray, grid: Grid, scale: float, xi,
     return np.fft.ifft(folded) * (m / grid.length)
 
 
-def synthesis_profile(weights: np.ndarray, grid: Grid, scale: float, xi,
-                      eps: float, table,
+def synthesis_profile(weights: np.ndarray, grid: Grid, band,
                       r: int) -> tuple[np.ndarray, np.ndarray]:
     """Band form (bins, spectrum) of sum_j weights[i, j] * packet_{r + step j}
-    at frequency xi[i], for each row i, the rows' bands concatenated in order.
+    for each packet i of `band` (`packet_hats`' form), the rows' bands
+    concatenated in order.
 
-    weights has one row of m = n/step entries per frequency, one per
-    translate at the stride; each row's FFT of size m, tiled over its band
-    with the conjugate phase ramp and the hat, is that row's synthesis
-    spectrum, zero off its bins.  The synthesis on the grid is
-    ifft(spectrum) * (n / L); callers add the spectra of many columns and
-    invert once.  An unresolvable band raises ResolutionError.
+    weights has one row of m = n/step entries per packet, one per translate
+    at the stride; each row's FFT of size m, tiled over its band with the
+    conjugate phase ramp and the hat, is that row's synthesis spectrum,
+    zero off its bins.  The synthesis on the grid is ifft(spectrum) * (n / L);
+    callers add the spectra of many columns and invert once.
     """
-    bins, hat, counts = packet_hats(grid, scale, xi, eps, table)
+    bins, hat, counts = band
     w_hat = np.fft.fft(weights).reshape(-1)
     at = _row_slots(counts, bins, weights.shape[-1])
     return bins, w_hat[at] * hat * np.conj(_ramp(bins, r, grid.n))

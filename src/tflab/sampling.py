@@ -127,12 +127,26 @@ def _same_grid(f: GridFunction, g: GridFunction) -> None:
         raise GridMismatchError(f"{f.grid} vs {g.grid}")
 
 
+def _powers(a: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """(a^p, 1.0) for a >= 0, or ((a/top)^p, top) with top = max a when the
+    sum of a^p is not finite (a large p): callers scale their p-th root back
+    by top."""
+    with np.errstate(over="ignore"):
+        power = a**p
+        total = power.sum()
+    if math.isfinite(total) or not 0 < a.max() < math.inf:
+        return power, 1.0
+    top = float(a.max())
+    return (a / top)**p, top
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Global (unnormalized) L^p quadrature norm; p = inf gives the sup norm."""
     a = np.abs(f.values)
     if p == math.inf:
         return float(a.max())
-    return float((a**p).sum() * f.grid.spacing) ** (1.0 / p)
+    power, top = _powers(a, p)
+    return float(power.sum() * f.grid.spacing) ** (1.0 / p) * top
 
 
 def local_norm(f: GridFunction, lo: float, hi: float, p: float) -> float:
@@ -143,7 +157,8 @@ def local_norm(f: GridFunction, lo: float, hi: float, p: float) -> float:
         return 0.0
     if p == math.inf:
         return float(a.max())
-    return float(np.mean(a**p) ** (1.0 / p))
+    power, top = _powers(a, p)
+    return float(np.mean(power) ** (1.0 / p)) * top
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +275,7 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    a = np.abs(f.values) ** p
+    a, top = _powers(np.abs(f.values), p)
     n = f.grid.n
     c = np.concatenate([[0.0], np.cumsum(a)])
     best = np.full(n, -np.inf)
@@ -274,7 +289,7 @@ def maximal_function(f: GridFunction, p: float) -> GridFunction:
             k *= 2
         np.maximum(best, run, out=best)
         m *= 2
-    return GridFunction(f.grid, best ** (1.0 / p) + 0j)
+    return GridFunction(f.grid, best ** (1.0 / p) * top + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +382,26 @@ def write_gridfunction_csv(f: GridFunction, path) -> None:
             w.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
 
 
+def _csv_sample(path, line: int, row: list[str]) -> tuple[float, float, float]:
+    """(x, re, im) of one data row; ValueError naming the file and line."""
+    try:
+        x, re, im = map(float, row)
+    except ValueError:
+        raise ValueError(f"{path}, line {line}: expected three numbers x,re,im, "
+                         f"got {','.join(row)!r}") from None
+    if not all(map(math.isfinite, (x, re, im))):
+        raise ValueError(f"{path}, line {line}: non-finite value in "
+                         f"{','.join(row)!r}")
+    return x, re, im
+
+
 def read_gridfunction_csv(path) -> GridFunction:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["x", "re", "im"]:
-        raise ValueError(f"{path}: expected header x,re,im")
-    data = np.array([[float(a), float(b), float(c)] for a, b, c in rows[1:]])
+        reader = csv.reader(fh)
+        if next(reader, None) != ["x", "re", "im"]:
+            raise ValueError(f"{path}: expected header x,re,im")
+        data = np.array([_csv_sample(path, reader.line_num, row)
+                         for row in reader]).reshape(-1, 3)
     xs, re, im = data.T
     n = xs.size
     if n < 2:

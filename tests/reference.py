@@ -488,7 +488,7 @@ def sweep_family_per_row(cfg, delta: float, grid: Grid):
     return f1, f2, f3_set, f2_set
 
 
-def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction,
+def lattice_evaluate_loop(engine, table, f1: GridFunction, f2: GridFunction,
                           mask: np.ndarray):
     """The sweep engine's row with space-domain synthesis, one inverse FFT per
     synthesized column: (lam, aligned f3, slot-3 synthesis, columns synthesized);
@@ -512,14 +512,13 @@ def lattice_evaluate_loop(engine, f1: GridFunction, f2: GridFunction,
             if (total <= 0 or band_energy_mask(freqs, power, xi[0],
                                                cfg.eps / (2 * s)) / total < 1e-12):
                 continue
-            g1 = coefficient_profile_full(fh1, grid, s, xi[0], cfg.eps, engine.table)
-            g2 = coefficient_profile_full(fh2, grid, s, xi[1], cfg.eps, engine.table)
+            g1 = coefficient_profile_full(fh1, grid, s, xi[0], cfg.eps, table)
+            g2 = coefficient_profile_full(fh2, grid, s, xi[1], cfg.eps, table)
             if g1 is None or g2 is None:
                 continue
             weights = np.zeros(grid.n, dtype=complex)
             weights[idx] = np.conj(g1[idx] * g2[idx]) * s ** -0.5
-            w3 = synthesis_profile_full(weights, grid, s, xi[2], cfg.eps,
-                                        engine.table)
+            w3 = synthesis_profile_full(weights, grid, s, xi[2], cfg.eps, table)
             if w3 is None:
                 continue
             w_total += w3

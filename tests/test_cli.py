@@ -18,6 +18,10 @@ def test_cli_ingham(capsys):
 
 def test_cli_tree_suite(capsys):
     assert main(["tree-suite", "--cases", "3", "--seed", "1"]) == 0
+    assert "counting constant" in capsys.readouterr().out
+    # no case measures a counting constant, so none is printed
+    assert main(["tree-suite", "--cases", "0"]) == 0
+    assert capsys.readouterr().out == "0 cases, 0 failures\n"
 
 
 def test_cli_sweep_emits_reports(tmp_path, capsys):
@@ -211,6 +215,28 @@ def test_cli_oracle_non_finite_sample(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param("", id="blank"), pytest.param("0.5,1.0", id="two-values"),
+    pytest.param("0.5,1.0,0.0,2.0", id="four-values"),
+    pytest.param("0.5,abc,0.0", id="not-a-number"),
+    pytest.param("inf,1.0,0.0", id="infinite-x"),
+    pytest.param("0.5,1.0,nan", id="nan")])
+def test_cli_oracle_malformed_csv_row(tmp_path, capsys, row):
+    # each malformed row of a signal file is one error line that names the
+    # file and the row's 1-based line, never a traceback
+    g = Grid(-8.0, 8.0, 2 ** 6)
+    good, bad = tmp_path / "f.csv", tmp_path / "bad.csv"
+    write_gridfunction_csv(GridFunction(g, np.exp(-g.xs() ** 2) + 0j), good)
+    lines = good.read_text().splitlines()
+    bad.write_text("\n".join(lines[:4] + [row] + lines[5:]) + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--f1", str(good), "--f2", str(bad),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}, line 5: ")
     assert "Traceback" not in err and not out.exists()
 
 

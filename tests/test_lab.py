@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import astuple
 from unittest import mock
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from reference import (band_energy_mask, coefficient_profile_full,
                        lattice_columns, lattice_evaluate_columns,
-                       lattice_evaluate_loop, sweep_family_per_row)
-from tflab import lab, timefreq
+                       lattice_evaluate_loop, packet_hat_one,
+                       sweep_family_per_row)
+from tflab import lab, modelsum, packets, timefreq
 from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, SET_FAMILIES,
                        THEOREMS, SweepConfig, SweepRow, _bound_rhs, _f1,
                        _family, _LatticeEngine, cantor_intervals, emit_report,
@@ -18,7 +20,7 @@ from tflab.lab import (DOMAIN, EXC_C0, FIELDS, POS_EXTENT, SET_FAMILIES,
                        suite_direction)
 from tflab.modelsum import coefficient_profile
 from tflab.osgood import InghamTable
-from tflab.packets import band_rows
+from tflab.packets import band_rows, packet_hats
 from tflab.sampling import Grid, GridFunction, lp_norm
 from tflab.timefreq import exceptional_sets
 
@@ -123,7 +125,7 @@ def test_engine_scales_fit_the_domain(table):
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                       c0=EXC_C0)
     lam, _ = engine.evaluate(f2, f3_major)
-    lam_ref = lattice_evaluate_loop(engine, f1, f2, f3_major)[0]
+    lam_ref = lattice_evaluate_loop(engine, table, f1, f2, f3_major)[0]
     assert lam > 0
     assert abs(lam - lam_ref) <= 1e-12 * lam_ref
 
@@ -300,21 +302,39 @@ def test_tree_suite_runs():
 # ---------------------------------------------------------------------------
 # the engine's band prune against the full-length mask
 
-def _engine_columns(engine) -> list:
-    """The engine's kept columns in order, one (s, step, r, slots, xi2, xi3,
-    g1) per column, after checking the block layout: a block holds columns
-    of one scale, at most BLOCK_SAMPLES // m of them, and the blocks of a
-    scale are full but the last."""
+def _band_rows(band) -> list:
+    """(bins, values) of each ragged row of a `packet_hats` band form."""
+    bins, values, counts = band
+    assert counts.sum() == bins.size == values.size
+    ends = counts.cumsum().tolist()
+    return [(bins[e - c:e], values[e - c:e])
+            for c, e in zip(counts.tolist(), ends)]
+
+
+def _engine_columns(engine, table, expected) -> list:
+    """The engine's kept columns in order, one (s, step, r, slots, g1) per
+    column, after checking the block layout and the held bands: a block holds
+    columns of one scale, at most BLOCK_SAMPLES // m of them, the blocks of a
+    scale are full but the last, and column i holds the slot-2 and slot-3
+    band forms of `packet_hat_one` at its scale and xi2, xi3 = expected[i],
+    byte for byte."""
     columns = []
-    for i, (s, step, r, slots, xi2, xi3, g1) in enumerate(engine.blocks):
+    for i, (s, step, r, slots, band2, band3, g1) in enumerate(engine.blocks):
         rows = max(1, lab.BLOCK_SAMPLES // (engine.grid.n // step))
         last = (i + 1 == len(engine.blocks) or engine.blocks[i + 1][0] != s)
-        assert 0 < len(xi2) == len(xi3) == g1.shape[0] <= rows
-        assert last or len(xi2) == rows
+        assert 0 < band2[2].size == band3[2].size == g1.shape[0] <= rows
+        assert last or g1.shape[0] == rows
         assert g1.shape[1] == slots.size
-        columns += [(s, step, r, slots, x2, x3, g) for x2, x3, g in
-                    zip(xi2.tolist(), xi3.tolist(), g1)]
-    return columns
+        columns += [(s, step, r, slots, g, b2, b3) for g, b2, b3 in
+                    zip(g1, _band_rows(band2), _band_rows(band3))]
+    assert len(columns) == len(expected)
+    for (s, *_, b2, b3), (xi2, xi3) in zip(columns, expected):
+        for (bins, values), xi in ((b2, xi2), (b3, xi3)):
+            ref_bins, ref_values = packet_hat_one(engine.grid, s, xi,
+                                                  engine.cfg.eps, table)
+            assert bins.tobytes() == ref_bins.tobytes()
+            assert values.tobytes() == ref_values.tobytes()
+    return [c[:5] for c in columns]
 
 
 def _prune_matches_mask(table, f1: GridFunction) -> dict:
@@ -342,13 +362,12 @@ def _prune_matches_mask(table, f1: GridFunction) -> dict:
                 continue
             # the translates start at the sample x = -POS_EXTENT
             r = grid.index_of(-POS_EXTENT) % step
-            [g1] = coefficient_profile(fh1, grid, s, [xi[0]], cfg.eps, table,
-                                       step, r)
+            band = packet_hats(grid, s, [xi[0]], cfg.eps, table)
+            [g1] = coefficient_profile(fh1, grid, band, step, r)
             kept.append((s, step, r, xi[1], xi[2], g1))
-    columns = _engine_columns(engine)
-    assert len(columns) == len(kept)
-    for (s, step, r, slots, xi2, xi3, g1), k in zip(columns, kept):
-        assert (s, step, r, xi2, xi3) == k[:5]
+    columns = _engine_columns(engine, table, [k[3:5] for k in kept])
+    for (s, step, r, slots, g1), k in zip(columns, kept):
+        assert (s, step, r) == k[:3]
         assert np.array_equal(g1, k[5][slots])
     return share
 
@@ -413,30 +432,27 @@ def test_engine_matches_column_loop(table, theorem, log2n, ratio, m_xi_max):
     with mock.patch.object(lab, "synthesis_profile", counting):
         lam, f3 = engine.evaluate(f2, f3_major)
     lam_ref, f3_ref, w_ref, synthesized_ref = lattice_evaluate_loop(
-        engine, f1, f2, f3_major)
+        engine, table, f1, f2, f3_major)
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
-    # one synthesis call per block, one weight row and slot-3 frequency per
+    # one synthesis call per block, one weight row and slot-3 band row per
     # column
     assert len(synthesized) == len(engine.blocks)
-    assert all(len(args[0]) == len(args[3]) for args in synthesized)
-    assert sum(len(args[3]) for args in synthesized) == synthesized_ref
+    assert all(len(args[0]) == args[2][2].size for args in synthesized)
+    assert sum(args[2][2].size for args in synthesized) == synthesized_ref
     assert np.array_equal(f3.values == 0, f3_ref.values == 0)
     big = np.abs(w_ref) >= 1e-9 * np.abs(w_ref).max()
     assert np.all(np.abs(f3.values - f3_ref.values)[big] <= 1e-9)
 
 
-def _assert_blocks_match_columns(engine, f1, f2, mask):
+def _assert_blocks_match_columns(engine, table, f1, f2, mask):
     """The engine's columns, lambda and f3 against the one-column engine of
     `tests/reference.py`, byte for byte."""
-    cfg, grid, table = engine.cfg, engine.grid, engine.table
+    cfg, grid = engine.cfg, engine.grid
     columns = lattice_columns(cfg, grid, table, f1)
-    got = _engine_columns(engine)
-    assert len(got) == len(columns)
-    for (s, step, r, slots, xi2, xi3, g1), ref in zip(got, columns):
+    got = _engine_columns(engine, table, [c[4:6] for c in columns])
+    for (s, step, r, slots, g1), ref in zip(got, columns):
         assert (s, step, r) == ref[:3]
         assert np.array_equal(slots, ref[3])
-        assert np.float64(xi2).tobytes() == np.float64(ref[4]).tobytes()
-        assert np.float64(xi3).tobytes() == np.float64(ref[5]).tobytes()
         assert g1.tobytes() == ref[6].tobytes()
     lam, f3 = engine.evaluate(f2, mask)
     lam_ref, f3_ref = lattice_evaluate_columns(columns, cfg, grid, table, f2,
@@ -470,7 +486,7 @@ def test_engine_blocks_match_column_engine(table, theorem, log2n, ratio,
             # s = 1/2 keeps 9 or more columns, m = 64 slots each
             per_scale = [b[0] for b in engine.blocks]
             assert max(map(per_scale.count, per_scale)) > 1
-        _assert_blocks_match_columns(engine, f1, f2, f3_major)
+        _assert_blocks_match_columns(engine, table, f1, f2, f3_major)
 
 
 def test_engine_blocks_match_column_engine_at_sweep_size(table):
@@ -485,7 +501,38 @@ def test_engine_blocks_match_column_engine_at_sweep_size(table):
     f2, f3_set, _ = _family(cfg, 2.0 ** -10, grid)
     _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha,
                                       c0=EXC_C0)
-    _assert_blocks_match_columns(engine, f1, f2, f3_major)
+    _assert_blocks_match_columns(engine, table, f1, f2, f3_major)
+
+
+def test_engine_rows_read_the_bands_held_at_build(table):
+    # the build makes one packet_hats call per block and slot; a row makes
+    # no band or spectrum call, so with the band rule, the packet spectrum
+    # and the window spectrum patched to fail it still gives the bytes of an
+    # unpatched engine's row
+    cfg = SweepConfig(theorem="C15", ratios=(2.0 ** -4,), grid_n=2 ** 12)
+    grid = Grid(-DOMAIN / 2, DOMAIN / 2, cfg.grid_n)
+    f1 = _f1(cfg, grid)
+    f2, f3_set, _ = _family(cfg, 2.0 ** -4, grid)
+    _, _, f3_major = exceptional_sets(f1, f2, f3_set, cfg.alpha, c0=EXC_C0)
+    with mock.patch.object(lab, "packet_hats", wraps=packet_hats) as spy:
+        engine = _LatticeEngine(cfg, grid, table, f1)
+    assert len(engine.blocks) > 1
+    assert spy.call_count == 3 * len(engine.blocks)
+    lam_ref, f3_ref = _LatticeEngine(cfg, grid, table, f1).evaluate(f2,
+                                                                    f3_major)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a row computed a band or a spectrum")
+
+    with contextlib.ExitStack() as stack:
+        for module in (packets, lab, modelsum):
+            for name in ("packet_hats", "band_rows"):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name, fail))
+        stack.enter_context(mock.patch.object(InghamTable, "spectrum_at", fail))
+        lam, f3 = engine.evaluate(f2, f3_major)
+    assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+    assert f3.values.tobytes() == f3_ref.values.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

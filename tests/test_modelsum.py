@@ -13,7 +13,7 @@ from tflab.errors import DegeneracyError, GridMismatchError
 from tflab.modelsum import (bht_direct, coefficient_profile,
                             dilate_band_limited, lambda_direct, model_sum,
                             rescale_check, rescale_tritile, synthesis_profile)
-from tflab.packets import PacketBank, TopDatum, canonical_packet
+from tflab.packets import PacketBank, TopDatum, canonical_packet, packet_hats
 from tflab.sampling import Band, DyadicInterval, Grid, GridFunction
 from tflab.timefreq import Tritile, gamma_from_beta
 
@@ -453,15 +453,14 @@ def test_profiles_match_bank(table_fine, wide_grid, wide_bank):
     # the translates of scale 1/2 on the grid, through that index
     step = round(0.5 / wide_grid.spacing)
     r, j = idx % step, idx // step
-    [prof] = coefficient_profile(fhat, wide_grid, 0.5, [2.0], 0.25,
-                                 wide_bank.table, step, r)
+    band = packet_hats(wide_grid, 0.5, [2.0], 0.25, wide_bank.table)
+    [prof] = coefficient_profile(fhat, wide_grid, band, step, r)
     direct = wide_bank.coefficient(f, td)
     assert prof[j] == pytest.approx(direct, abs=1e-12)
     # synthesis: a unit weight at that translate reproduces the packet
     w = np.zeros(wide_grid.n // step, complex)
     w[j] = 1.0
-    bins, values = synthesis_profile(w[None], wide_grid, 0.5, [2.0], 0.25,
-                                     wide_bank.table, r)
+    bins, values = synthesis_profile(w[None], wide_grid, band, r)
     spec = np.zeros(wide_grid.n, complex)
     spec[bins] = values
     syn = np.fft.ifft(spec) * (wide_grid.n / wide_grid.length)

@@ -96,17 +96,19 @@ def _outcome(fn, *args):
         return ResolutionError
 
 
-def profile(f_hat, g, scale, xi, *args):
+def profile(f_hat, g, scale, xi, eps, table, step, r):
     """coefficient_profile's one-row case."""
-    return coefficient_profile(f_hat, g, scale, [xi], *args)[0]
+    band = packet_hats(g, scale, [xi], eps, table)
+    return coefficient_profile(f_hat, g, band, step, r)[0]
 
 
-def synthesis(weights, g, scale, xi, *args):
+def synthesis(weights, g, scale, xi, eps, table, r):
     """synthesis_profile's band spectrum of one row, scattered and inverted:
     the synthesis."""
-    band = synthesis_profile(weights[None], g, scale, [xi], *args)
+    band = packet_hats(g, scale, [xi], eps, table)
+    bins, values = synthesis_profile(weights[None], g, band, r)
     spec = np.zeros(g.n, dtype=complex)
-    spec[band[0]] = band[1]
+    spec[bins] = values
     return np.fft.ifft(spec) * (g.n / g.length)
 
 

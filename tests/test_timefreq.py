@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tflab.errors import DegeneracyError
 from tflab.lab import random_collection, random_signal, run_tree_suite
 from tflab.packets import PacketBank, TopDatum
-from tflab.sampling import Band, DyadicInterval, Grid, GridFunction
+from tflab.sampling import (Band, DyadicInterval, Grid, GridFunction,
+                            local_norm, lp_norm, maximal_function)
 from tflab.timefreq import (Forest, Tree, Tritile, _SizeContext,
                             check_well_discretized, collection_size,
                             counting_split, exceptional_sets, f3_decompose,
@@ -21,7 +22,8 @@ from conftest import bump_signal
 from reference import (CachingPacketBank, SizeContextRef,
                        build_tritile_lattice, collection_size_ref,
                        f3_decompose_ref, greedy_split_ref,
-                       lacunary_frequency_loop, size_lemma_split_ref,
+                       lacunary_frequency_loop, maximal_function_blocks,
+                       size_lemma_split_ref,
                        thin_well_discretized_loop, tree_suite_stats_ref)
 
 
@@ -510,6 +512,33 @@ def test_exceptional_sets_validation(grid):
         exceptional_sets(z, z, grid.mask([]), (0.5, 0.25, 0.25))
     with pytest.raises(ValueError, match="mask of"):
         exceptional_sets(z, z, f3[::2], (0.5, 0.25, 0.25))
+
+
+def test_exceptional_sets_at_a_small_alpha_of_a_large_function():
+    # alpha1 = 1e-3 takes p = 1000, and 3^1000 overflows a float: the maximal
+    # function and the norm then raise |h1| / max|h1| to the p-th power and
+    # scale the p-th root back by max|h1|
+    grid = Grid(-4.0, 4.0, 64)
+    xs = grid.xs()
+    h1 = GridFunction(grid, 3.0 * np.exp(-xs ** 2 + 2j * np.pi * xs))
+    h2 = GridFunction(grid, ((xs >= -1) & (xs < 1)).astype(complex))
+    f3 = grid.mask([(0.0, 2.0)])
+    _, _, major = exceptional_sets(h1, h2, f3, (1e-3, 0.999, 0))
+    assert f3.sum() <= 4 * major.sum()
+    p = 1000.0
+    a = np.abs(h1.values)
+    top = a.max()
+    with np.errstate(over="ignore"):
+        assert top == 3.0 and not np.isfinite((a ** p).sum())
+    norm = top * float(((a / top) ** p).sum() * grid.spacing) ** (1 / p)
+    assert lp_norm(h1, p) == pytest.approx(norm, rel=1e-12, abs=0)
+    local = top * float(np.mean((a[24:40] / top) ** p)) ** (1 / p)
+    assert local_norm(h1, -1.0, 1.0, p) == pytest.approx(local, rel=1e-12,
+                                                          abs=0)
+    unit = GridFunction(grid, h1.values / top)
+    m = top * maximal_function_blocks(unit, p).values.real
+    assert np.allclose(maximal_function(h1, p).values.real, m, rtol=1e-12,
+                       atol=0)
 
 
 # ---------------------------------------------------------------------------
